@@ -1,6 +1,6 @@
-// Little-endian wire primitives shared by the checkpoint codec and the SWH5
-// container format.  Writer appends into a byte buffer; Reader consumes one
-// with hard bounds checks (truncation throws).
+// Little-endian wire primitives shared by the checkpoint codec and the
+// weight bank's chunk and manifest frames.  Writer appends into a byte
+// buffer; Reader consumes one with hard bounds checks (truncation throws).
 #pragma once
 
 #include <cstdint>
@@ -42,7 +42,6 @@ class Writer {
 class Reader {
  public:
   Reader(const std::byte* data, std::size_t size) : data_(data), size_(size) {}
-  explicit Reader(const std::vector<std::byte>& buf) : Reader(buf.data(), buf.size()) {}
 
   std::uint8_t u8() { return get<std::uint8_t>(); }
   std::uint32_t u32() { return get<std::uint32_t>(); }
@@ -68,7 +67,6 @@ class Reader {
     pos_ += n;
     return b;
   }
-  [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
   [[nodiscard]] std::size_t remaining() const noexcept { return size_ - pos_; }
 
  private:

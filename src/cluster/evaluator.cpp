@@ -11,6 +11,19 @@
 
 namespace swt {
 
+EvalPhases eval_phases(const EvalRecord& rec) noexcept {
+  EvalPhases p;
+  p.stall = rec.ckpt_read_wait;
+  p.read = rec.ckpt_read_cost;
+  p.write = rec.ckpt_write_charged;
+  p.retry = rec.retry_seconds;
+  const double compute = std::max(0.0, (rec.virtual_finish - rec.virtual_start) - p.stall -
+                                           p.read - p.write - p.retry);
+  p.transfer = std::min(rec.transfer_seconds, compute);
+  p.train = compute - p.transfer;
+  return p;
+}
+
 Evaluator::Evaluator(const SearchSpace& space, const DatasetPair& data,
                      CheckpointStore& store, Config cfg)
     : space_(&space), data_(&data), store_(&store), cfg_(cfg) {

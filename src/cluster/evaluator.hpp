@@ -61,6 +61,24 @@ struct EvalRecord {
   bool transfer_fallback = false;  ///< parent wanted but unreadable -> random init
 };
 
+/// A scheduled record's virtual envelope [virtual_start, virtual_finish]
+/// split into consecutive phases: the checkpoint stall and read lead, the
+/// charged write and the I/O retries trail (only the retries' total is
+/// known), and the compute window between them is the transfer — its
+/// measured time, an approximation in scaled/fixed-time runs — followed by
+/// training.  The one split behind the virtual-timeline spans and the
+/// trace-derived critical-path input.
+struct EvalPhases {
+  double stall = 0.0;
+  double read = 0.0;
+  double transfer = 0.0;
+  double train = 0.0;
+  double write = 0.0;
+  double retry = 0.0;
+};
+
+[[nodiscard]] EvalPhases eval_phases(const EvalRecord& rec) noexcept;
+
 class Evaluator {
  public:
   struct Config {

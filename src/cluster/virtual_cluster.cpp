@@ -34,12 +34,6 @@ double Trace::total_ckpt_overhead() const noexcept {
   return t;
 }
 
-double Trace::total_train_time() const noexcept {
-  double t = 0.0;
-  for (const auto& r : records) t += r.train_seconds;
-  return t;
-}
-
 namespace {
 
 struct InFlight {
@@ -91,11 +85,8 @@ EvalRecord resolve_plan(const EvalRecord& planned, EvalRecord trained) {
 }
 
 /// Emit one completed evaluation as a per-worker timeline: a top-level
-/// "eval" span plus child spans for each cost component, in virtual
-/// microseconds.  The compute window is split into a transfer part (the
-/// measured mechanism wall time, an approximation in scaled/fixed-time
-/// runs) and the training remainder; checkpoint retries are drawn after
-/// the write since only their total is known.
+/// "eval" span plus one child span per eval_phases component, in virtual
+/// microseconds.
 void emit_eval_spans(SpanTracer& tracer, const EvalRecord& rec) {
   const double dur = rec.virtual_finish - rec.virtual_start;
   tracer.complete("eval " + std::to_string(rec.id), "eval", kTraceVirtualPid,
@@ -111,15 +102,13 @@ void emit_eval_spans(SpanTracer& tracer, const EvalRecord& rec) {
                     seconds * kUsPerS);
     t += seconds;
   };
-  child("ckpt stall", "idle", rec.ckpt_read_wait);
-  child("ckpt read", "checkpoint", rec.ckpt_read_cost);
-  const double compute = std::max(0.0, (rec.virtual_finish - t) - rec.ckpt_write_charged -
-                                           rec.retry_seconds);
-  const double transfer_part = std::min(rec.transfer_seconds, compute);
-  child("transfer", "transfer", transfer_part);
-  child("train", "train", compute - transfer_part);
-  child("ckpt write", "checkpoint", rec.ckpt_write_charged);
-  child("ckpt retry", "checkpoint", rec.retry_seconds);
+  const EvalPhases p = eval_phases(rec);
+  child("ckpt stall", "idle", p.stall);
+  child("ckpt read", "checkpoint", p.read);
+  child("transfer", "transfer", p.transfer);
+  child("train", "train", p.train);
+  child("ckpt write", "checkpoint", p.write);
+  child("ckpt retry", "checkpoint", p.retry);
 }
 
 }  // namespace
@@ -149,10 +138,9 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
       tracer.name_track(kTraceVirtualPid, w, "worker " + std::to_string(w));
   }
   EventBus& bus = EventBus::global();
-  bus.emit(EventType::kRunStarted, cfg.clock_origin, -1, -1,
+  bus.emit(EventType::kRunStarted, 0.0, -1, -1,
            {{"n_evals", std::to_string(n_evals)},
-            {"workers", std::to_string(cfg.num_workers)},
-            {"first_eval_id", std::to_string(cfg.first_eval_id)}});
+            {"workers", std::to_string(cfg.num_workers)}});
   // Quality statistics cost O(completed evals) per completion (the
   // incremental Kendall scan); skip them entirely when nothing consumes
   // the result.
@@ -161,12 +149,11 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
   double busy_seconds = 0.0;      // worker-seconds spent on attempts
   double recovery_seconds = 0.0;  // worker-seconds lost to crash recovery
 
-  std::vector<double> worker_free(static_cast<std::size_t>(cfg.num_workers),
-                                  cfg.clock_origin);
+  std::vector<double> worker_free(static_cast<std::size_t>(cfg.num_workers), 0.0);
   std::priority_queue<InFlight, std::vector<InFlight>, std::greater<>> in_flight;
   std::deque<Resubmit> resubmit;                       // crashed, awaiting retry
   std::unordered_map<long, double> ckpt_available_at;  // by evaluation id
-  double clock = cfg.clock_origin;
+  double clock = 0.0;
   long submitted = 0;  // fresh proposals issued (resubmissions reuse their id)
   long finished = 0;   // completed records + permanently lost evaluations
 
@@ -394,7 +381,7 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
         resubmit.pop_front();
       } else {
         proposal = strategy.propose(rng);
-        id = cfg.first_eval_id + submitted;
+        id = submitted;
         ++submitted;
         bus.emit(EventType::kEvalSubmitted, clock, -1, id);
       }
@@ -453,8 +440,6 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
     }
 
     // Advance the clock to the next event.
-    if (metrics_enabled())
-      metrics().gauge("cluster.queue_depth").set(static_cast<double>(in_flight.size()));
     InFlight done = in_flight.top();
     in_flight.pop();
     clock = done.finish;
@@ -530,7 +515,7 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
 
   if (metrics_enabled()) {
     MetricsRegistry& m = metrics();
-    const double wall = (trace.makespan - cfg.clock_origin) * cfg.num_workers;
+    const double wall = trace.makespan * cfg.num_workers;
     m.gauge("cluster.worker_busy_seconds").add(busy_seconds);
     m.gauge("cluster.worker_recovery_seconds").add(recovery_seconds);
     m.gauge("cluster.worker_idle_seconds")

@@ -82,10 +82,6 @@ struct ClusterConfig {
   /// is available.
   bool async_checkpointing = false;
   double async_enqueue_latency_s = 0.002;
-  /// Continuation origins for resumed searches: evaluation ids start at
-  /// `first_eval_id` and the virtual clock at `clock_origin`.
-  long first_eval_id = 0;
-  double clock_origin = 0.0;
   /// Deterministic fault injection (crashes, stragglers, checkpoint I/O
   /// failures); inert by default, so fault-free traces are unchanged.
   FaultConfig faults = {};
@@ -109,7 +105,6 @@ struct Trace {
   long transfer_fallbacks = 0; ///< completed evals that fell back to random init
 
   [[nodiscard]] double total_ckpt_overhead() const noexcept;
-  [[nodiscard]] double total_train_time() const noexcept;
 };
 
 /// Run `n_evals` candidate evaluations of `strategy` on a simulated cluster.

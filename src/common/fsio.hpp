@@ -68,9 +68,6 @@ class DurableAppender {
   /// Force an fsync now (used before intentionally dying in tests).
   void sync();
 
-  void set_sync_each_append(bool on) noexcept { sync_each_append_ = on; }
-  [[nodiscard]] bool sync_each_append() const noexcept { return sync_each_append_; }
-
  private:
   int fd_ = -1;
   bool sync_each_append_ = true;

@@ -1,7 +1,6 @@
 #include "exp/analysis.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/stats.hpp"
 
@@ -9,15 +8,15 @@ namespace swt {
 
 std::map<long, int> lineage_depths(const Trace& trace) {
   std::map<long, int> depth;
-  // Records are in completion order, so a parent is always processed before
-  // any child that transferred from it.
+  // Records are in completion order, so a parent in the trace is always
+  // processed before any child that transferred from it.
   for (const auto& r : trace.records) {
     int d = 1;
-    if (r.tensors_transferred > 0 && r.parent_id >= 0) {
+    if (r.tensors_transferred > 0) {
       const auto it = depth.find(r.parent_id);
-      if (it != depth.end()) d = it->second + 1;
+      d = (it != depth.end() ? it->second : 1) + 1;
     }
-    depth[r.id] = d;
+    depth.emplace(r.id, d);
   }
   return depth;
 }
@@ -58,35 +57,6 @@ ParentChildStats parent_child_stats(const Trace& trace) {
   return s;
 }
 
-std::vector<ParetoPoint> pareto_front(const Trace& trace) {
-  // Deduplicate by architecture, keeping each architecture's best score.
-  std::map<std::uint64_t, ParetoPoint> best;
-  for (const auto& r : trace.records) {
-    const std::uint64_t h = arch_hash(r.arch);
-    const auto it = best.find(h);
-    if (it == best.end() || r.score > it->second.score)
-      best[h] = ParetoPoint{r.id, r.arch, r.score, r.param_count};
-  }
-  std::vector<ParetoPoint> points;
-  points.reserve(best.size());
-  for (auto& [h, p] : best) points.push_back(std::move(p));
-  // Sort by params ascending, score descending; then a single sweep keeps
-  // points whose score strictly improves on everything smaller.
-  std::sort(points.begin(), points.end(), [](const ParetoPoint& a, const ParetoPoint& b) {
-    if (a.param_count != b.param_count) return a.param_count < b.param_count;
-    return a.score > b.score;
-  });
-  std::vector<ParetoPoint> front;
-  double best_score = -std::numeric_limits<double>::infinity();
-  for (auto& p : points) {
-    if (p.score > best_score) {
-      best_score = p.score;
-      front.push_back(std::move(p));
-    }
-  }
-  return front;
-}
-
 std::map<int, double> mean_score_by_depth(const Trace& trace) {
   const auto depth = lineage_depths(trace);
   std::map<int, RunningStats> buckets;
@@ -108,17 +78,13 @@ prof::CriticalPathInput critical_path_input(const Trace& trace) {
     s.start = r.virtual_start;
     s.finish = r.virtual_finish;
     s.ready_at = std::max(r.virtual_finish, r.ckpt_available_at);
-    // Same envelope split as emit_eval_spans: the stall and read lead, the
-    // write charge and retries trail, transfer is the head of the compute.
-    s.stall = r.ckpt_read_wait;
-    s.ckpt_read = r.ckpt_read_cost;
-    s.ckpt_write = r.ckpt_write_charged;
-    s.ckpt_retry = r.retry_seconds;
-    const double compute =
-        std::max(0.0, (r.virtual_finish - r.virtual_start) - s.stall - s.ckpt_read -
-                          s.ckpt_write - s.ckpt_retry);
-    s.transfer = std::min(r.transfer_seconds, compute);
-    s.train = compute - s.transfer;
+    const EvalPhases p = eval_phases(r);
+    s.stall = p.stall;
+    s.ckpt_read = p.read;
+    s.transfer = p.transfer;
+    s.train = p.train;
+    s.ckpt_write = p.write;
+    s.ckpt_retry = p.retry;
     in.evals.push_back(std::move(s));
   }
   return in;

@@ -17,7 +17,9 @@ namespace swt {
 
 /// Effective training depth of each record: 1 for models trained from
 /// scratch; 1 + depth(parent) when weights were actually transferred
-/// (tensors_transferred > 0).  Keyed by evaluation id.
+/// (tensors_transferred > 0), where a provider outside the trace (a
+/// warm-start seed) counts as depth 1.  QualityTelemetry applies the same
+/// rule live.  Keyed by evaluation id.
 [[nodiscard]] std::map<long, int> lineage_depths(const Trace& trace);
 
 struct LineageSummary {
@@ -46,26 +48,11 @@ struct ParentChildStats {
 /// rising means confirm the accumulated-training explanation.
 [[nodiscard]] std::map<int, double> mean_score_by_depth(const Trace& trace);
 
-/// One candidate on the score/complexity plane (Table IV's trade-off:
-/// "the user may also prefer simpler models with acceptable objective
-/// metrics").
-struct ParetoPoint {
-  long id = -1;
-  ArchSeq arch;
-  double score = 0.0;
-  std::int64_t param_count = 0;
-};
-
-/// Non-dominated set maximising score and minimising parameter count,
-/// deduplicated by architecture and sorted by ascending parameter count.
-[[nodiscard]] std::vector<ParetoPoint> pareto_front(const Trace& trace);
-
-/// Critical-path input rebuilt from a trace (CSV or in-memory).  The
-/// per-phase decomposition mirrors the virtual cluster's span emission
-/// (stall -> ckpt read -> transfer -> train -> ckpt write -> ckpt retry);
-/// per-fault intervals are not recorded in the CSV schema, so the faults
-/// list is empty here — use the span-trace builder when fault attribution
-/// matters.
+/// Critical-path input rebuilt from a trace (CSV or in-memory).  Each
+/// record's phases come from eval_phases, the split the virtual cluster's
+/// span emission uses; per-fault intervals are not recorded in the CSV
+/// schema, so the faults list is empty here — read a span trace instead
+/// when fault attribution matters.
 [[nodiscard]] prof::CriticalPathInput critical_path_input(const Trace& trace);
 
 }  // namespace swt

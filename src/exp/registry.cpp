@@ -7,7 +7,6 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <stdexcept>
 
 #include "common/fsio.hpp"
@@ -15,6 +14,7 @@
 #include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "exp/analysis.hpp"
 #include "obs/json.hpp"
 
 namespace swt {
@@ -139,29 +139,16 @@ RunRecord make_run_record(std::string_view app_name, const NasRunConfig& cfg,
   rec.lost_evaluations = trace.lost_evaluations;
   rec.transfer_fallbacks = trace.transfer_fallbacks;
 
-  if (!trace.records.empty()) {
-    long hits = 0;
-    long depth_sum = 0;
-    std::map<long, int> depth;  // completion order == records order
+  const LineageSummary lineage = summarize_lineage(trace);
+  rec.transfer_hit_rate = lineage.transfer_fraction;
+  rec.mean_lineage_depth = lineage.mean_depth;
+  if (trace.records.size() >= 2) {
     std::vector<double> early, final_;
     for (const EvalRecord& r : trace.records) {
-      const bool transferred = r.tensors_transferred > 0;
-      if (transferred) ++hits;
-      int d = 1;
-      if (transferred) {
-        const auto it = depth.find(r.parent_id);
-        d = (it != depth.end() ? it->second : 1) + 1;
-      }
-      depth.emplace(r.id, d);
-      depth_sum += d;
       early.push_back(r.first_epoch_score);
       final_.push_back(r.score);
     }
-    const auto n = static_cast<double>(trace.records.size());
-    rec.transfer_hit_rate = static_cast<double>(hits) / n;
-    rec.mean_lineage_depth = static_cast<double>(depth_sum) / n;
-    if (trace.records.size() >= 2)
-      rec.kendall_tau_early_final = kendall_tau(early, final_);
+    rec.kendall_tau_early_final = kendall_tau(early, final_);
   }
 
   if (store != nullptr && store->bank() != nullptr) {

@@ -1,11 +1,9 @@
 #include "exp/runner.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_set>
 
 #include "common/log.hpp"
-#include "common/stats.hpp"
 #include "exp/journal.hpp"
 #include "exp/registry.hpp"
 #include "exp/trace_io.hpp"
@@ -166,54 +164,6 @@ NasRun run_nas(const AppConfig& app, const NasRunConfig& cfg) {
   return run;
 }
 
-NasRun resume_nas(const AppConfig& app, const NasRunConfig& cfg, NasRun previous,
-                  long additional_evals) {
-  NasRun run;
-  run.mode = cfg.mode;
-  run.store = std::move(previous.store);
-
-  Evaluator::Config eval_cfg;
-  eval_cfg.mode = cfg.mode;
-  eval_cfg.train = app.estimation_options();
-  if (cfg.estimation_epochs > 0) eval_cfg.train.epochs = cfg.estimation_epochs;
-  eval_cfg.train_subset_fraction = cfg.train_subset_fraction;
-  eval_cfg.seed = cfg.seed;
-  eval_cfg.write_checkpoints = cfg.mode != TransferMode::kNone;
-  Evaluator evaluator(app.space, app.data, *run.store, eval_cfg);
-
-  // Rebuild the strategy's population by replaying completed outcomes.
-  RegularizedEvolution strategy(app.space, cfg.evolution);
-  long max_id = -1;
-  for (const auto& r : previous.trace.records) {
-    strategy.report(Outcome{r.id, r.arch, r.score, r.ckpt_key});
-    max_id = std::max(max_id, r.id);
-  }
-
-  ClusterConfig cluster = cfg.cluster;
-  cluster.time_scale = cfg.time_scale > 0.0 ? cfg.time_scale : app.time_scale;
-  cluster.first_eval_id = max_id + 1;
-  cluster.clock_origin = previous.trace.makespan;
-  if (cluster.faults.active() && cluster.faults.seed == 0)
-    cluster.faults.seed = mix64(cfg.seed, 0xFA017);
-  Rng rng(mix64(cfg.seed, mix64(0x5EA6C4, previous.trace.records.size())));
-  Trace continuation = run_search(evaluator, strategy, additional_evals, cluster, rng);
-
-  // Merge: prior records keep their timeline, continuation appends to it.
-  run.trace = std::move(previous.trace);
-  run.trace.makespan = std::max(run.trace.makespan, continuation.makespan);
-  run.trace.num_workers = continuation.num_workers;
-  run.trace.records.insert(run.trace.records.end(),
-                           std::make_move_iterator(continuation.records.begin()),
-                           std::make_move_iterator(continuation.records.end()));
-  run.trace.crashed_attempts += continuation.crashed_attempts;
-  run.trace.resubmissions += continuation.resubmissions;
-  run.trace.lost_evaluations += continuation.lost_evaluations;
-  run.trace.lost_train_seconds += continuation.lost_train_seconds;
-  run.trace.retry_seconds += continuation.retry_seconds;
-  run.trace.transfer_fallbacks += continuation.transfer_fallbacks;
-  return run;
-}
-
 std::vector<EvalRecord> top_k(const Trace& trace, std::size_t k) {
   std::vector<EvalRecord> sorted = trace.records;
   std::sort(sorted.begin(), sorted.end(),
@@ -258,24 +208,6 @@ FullTrainResult full_train(const AppConfig& app, const ArchSeq& arch,
     result.full_epochs = es.epochs_run;
   }
   return result;
-}
-
-std::vector<SlotPoint> bucket_scores(const Trace& trace, double slot_seconds) {
-  std::vector<SlotPoint> out;
-  if (trace.records.empty() || slot_seconds <= 0.0) return out;
-  const auto n_slots =
-      static_cast<std::size_t>(std::ceil(trace.makespan / slot_seconds)) + 1;
-  std::vector<RunningStats> slots(n_slots);
-  for (const auto& r : trace.records) {
-    const auto slot = static_cast<std::size_t>(std::ceil(r.virtual_finish / slot_seconds));
-    slots[std::min(slot, n_slots - 1)].add(r.score);
-  }
-  for (std::size_t s = 0; s < n_slots; ++s) {
-    if (slots[s].count() == 0) continue;
-    out.push_back(SlotPoint{static_cast<double>(s) * slot_seconds, slots[s].mean(),
-                            slots[s].ci95_half_width(), static_cast<int>(slots[s].count())});
-  }
-  return out;
 }
 
 }  // namespace swt

@@ -79,41 +79,6 @@ SearchSpace make_cifar_space(std::int64_t hw) {
   return space;
 }
 
-SearchSpace make_cifar_space_ext(std::int64_t hw) {
-  SearchSpace space;
-  space.name = "CifarLikeExt";
-  space.input_shapes = {Shape{hw, hw, 3}};
-  space.towers.resize(1);
-  auto& slots = space.towers.front();
-
-  // Pooling VNs mix max- and average-pooling choices.
-  auto pool_mixed_vn = [](const std::string& name) {
-    return VariableNode{name,
-                        {OpSpec::identity(), OpSpec::maxpool2d(2, 2),
-                         OpSpec::avgpool2d(2, 2), OpSpec::maxpool2d(3, 2),
-                         OpSpec::avgpool2d(2, 1)}};
-  };
-
-  const std::int64_t base_filters[3] = {4, 8, 12};
-  for (int b = 0; b < 3; ++b) {
-    for (int rep = 0; rep < 2; ++rep) {
-      const std::string tag = "b" + std::to_string(b) + "r" + std::to_string(rep);
-      add_vn(space, conv2d_vn("conv_" + tag, base_filters[b]), slots);
-      add_vn(space, pool_mixed_vn("pool_" + tag), slots);
-      add_vn(space, batchnorm_vn("bn_" + tag), slots);
-    }
-  }
-  for (int i = 0; i < 3; ++i)
-    add_vn(space, dense_vn("dense_" + std::to_string(i), {16, 32, 64}), slots);
-
-  // GlobalAvgPool head: when the stack still ends in an image this pools
-  // it to a channel vector; when a Dense VN already flattened it, the op
-  // degrades to identity and Dense's auto-flatten guard takes over.
-  slots.push_back(Slot::fixed(OpSpec::global_avgpool2d()));
-  slots.push_back(Slot::fixed(OpSpec::dense(10)));
-  return space;
-}
-
 SearchSpace make_mnist_space(std::int64_t hw) {
   SearchSpace space;
   space.name = "MnistLike";

@@ -17,9 +17,6 @@ class Dense final : public Layer {
   void collect_params(std::vector<ParamRef>& out) override;
   [[nodiscard]] std::string describe() const override;
 
-  [[nodiscard]] std::int64_t in_features() const noexcept { return in_; }
-  [[nodiscard]] std::int64_t out_features() const noexcept { return out_; }
-
  private:
   std::string name_;
   std::int64_t in_;

@@ -114,126 +114,4 @@ std::string MaxPool1D::describe() const {
   return "MaxPool1D(" + std::to_string(size_) + ", s=" + std::to_string(stride_) + ")";
 }
 
-AvgPool2D::AvgPool2D(std::int64_t size, std::int64_t stride) : size_(size), stride_(stride) {
-  if (size <= 0 || stride <= 0) throw std::invalid_argument("AvgPool2D: non-positive size");
-}
-
-Tensor AvgPool2D::forward(const Tensor& x, bool /*train*/) {
-  const auto& s = x.shape();
-  if (s.rank() != 4)
-    throw std::invalid_argument("AvgPool2D: expected rank-4 input, got " + s.to_string());
-  in_shape_ = s;
-  const std::int64_t n = s[0], h = s[1], w = s[2], c = s[3];
-  const std::int64_t oh = pool_out_extent(h, size_, stride_);
-  const std::int64_t ow = pool_out_extent(w, size_, stride_);
-  if (oh <= 0 || ow <= 0)
-    throw std::invalid_argument("AvgPool2D: window larger than input " + s.to_string());
-  Tensor y(Shape{n, oh, ow, c});
-  const float inv = 1.0f / static_cast<float>(size_ * size_);
-  for (std::int64_t ni = 0; ni < n; ++ni)
-    for (std::int64_t yo = 0; yo < oh; ++yo)
-      for (std::int64_t xo = 0; xo < ow; ++xo)
-        for (std::int64_t ci = 0; ci < c; ++ci) {
-          float acc = 0.0f;
-          for (std::int64_t ky = 0; ky < size_; ++ky)
-            for (std::int64_t kx = 0; kx < size_; ++kx)
-              acc += x.at(ni, yo * stride_ + ky, xo * stride_ + kx, ci);
-          y.at(ni, yo, xo, ci) = acc * inv;
-        }
-  return y;
-}
-
-Tensor AvgPool2D::backward(const Tensor& dy) {
-  Tensor dx(in_shape_);
-  const std::int64_t oh = dy.shape()[1], ow = dy.shape()[2];
-  const std::int64_t n = in_shape_[0], c = in_shape_[3];
-  const float inv = 1.0f / static_cast<float>(size_ * size_);
-  for (std::int64_t ni = 0; ni < n; ++ni)
-    for (std::int64_t yo = 0; yo < oh; ++yo)
-      for (std::int64_t xo = 0; xo < ow; ++xo)
-        for (std::int64_t ci = 0; ci < c; ++ci) {
-          const float g = dy.at(ni, yo, xo, ci) * inv;
-          for (std::int64_t ky = 0; ky < size_; ++ky)
-            for (std::int64_t kx = 0; kx < size_; ++kx)
-              dx.at(ni, yo * stride_ + ky, xo * stride_ + kx, ci) += g;
-        }
-  return dx;
-}
-
-std::string AvgPool2D::describe() const {
-  return "AvgPool2D(" + std::to_string(size_) + ", s=" + std::to_string(stride_) + ")";
-}
-
-AvgPool1D::AvgPool1D(std::int64_t size, std::int64_t stride) : size_(size), stride_(stride) {
-  if (size <= 0 || stride <= 0) throw std::invalid_argument("AvgPool1D: non-positive size");
-}
-
-Tensor AvgPool1D::forward(const Tensor& x, bool /*train*/) {
-  const auto& s = x.shape();
-  if (s.rank() != 3)
-    throw std::invalid_argument("AvgPool1D: expected rank-3 input, got " + s.to_string());
-  in_shape_ = s;
-  const std::int64_t n = s[0], len = s[1], c = s[2];
-  const std::int64_t olen = pool_out_extent(len, size_, stride_);
-  if (olen <= 0)
-    throw std::invalid_argument("AvgPool1D: window larger than input " + s.to_string());
-  Tensor y(Shape{n, olen, c});
-  const float inv = 1.0f / static_cast<float>(size_);
-  for (std::int64_t ni = 0; ni < n; ++ni)
-    for (std::int64_t lo = 0; lo < olen; ++lo)
-      for (std::int64_t ci = 0; ci < c; ++ci) {
-        float acc = 0.0f;
-        for (std::int64_t kk = 0; kk < size_; ++kk)
-          acc += x.at(ni, lo * stride_ + kk, ci);
-        y.at(ni, lo, ci) = acc * inv;
-      }
-  return y;
-}
-
-Tensor AvgPool1D::backward(const Tensor& dy) {
-  Tensor dx(in_shape_);
-  const std::int64_t olen = dy.shape()[1];
-  const std::int64_t n = in_shape_[0], c = in_shape_[2];
-  const float inv = 1.0f / static_cast<float>(size_);
-  for (std::int64_t ni = 0; ni < n; ++ni)
-    for (std::int64_t lo = 0; lo < olen; ++lo)
-      for (std::int64_t ci = 0; ci < c; ++ci) {
-        const float g = dy.at(ni, lo, ci) * inv;
-        for (std::int64_t kk = 0; kk < size_; ++kk)
-          dx.at(ni, lo * stride_ + kk, ci) += g;
-      }
-  return dx;
-}
-
-std::string AvgPool1D::describe() const {
-  return "AvgPool1D(" + std::to_string(size_) + ", s=" + std::to_string(stride_) + ")";
-}
-
-Tensor GlobalAvgPool2D::forward(const Tensor& x, bool /*train*/) {
-  const auto& s = x.shape();
-  if (s.rank() != 4)
-    throw std::invalid_argument("GlobalAvgPool2D: expected rank-4 input, got " + s.to_string());
-  in_shape_ = s;
-  const std::int64_t n = s[0], h = s[1], w = s[2], c = s[3];
-  Tensor y(Shape{n, c});
-  const float inv = 1.0f / static_cast<float>(h * w);
-  for (std::int64_t ni = 0; ni < n; ++ni)
-    for (std::int64_t yi = 0; yi < h; ++yi)
-      for (std::int64_t xi = 0; xi < w; ++xi)
-        for (std::int64_t ci = 0; ci < c; ++ci) y.at(ni, ci) += x.at(ni, yi, xi, ci) * inv;
-  return y;
-}
-
-Tensor GlobalAvgPool2D::backward(const Tensor& dy) {
-  Tensor dx(in_shape_);
-  const std::int64_t n = in_shape_[0], h = in_shape_[1], w = in_shape_[2], c = in_shape_[3];
-  const float inv = 1.0f / static_cast<float>(h * w);
-  for (std::int64_t ni = 0; ni < n; ++ni)
-    for (std::int64_t yi = 0; yi < h; ++yi)
-      for (std::int64_t xi = 0; xi < w; ++xi)
-        for (std::int64_t ci = 0; ci < c; ++ci)
-          dx.at(ni, yi, xi, ci) = dy.at(ni, ci) * inv;
-  return dx;
-}
-
 }  // namespace swt

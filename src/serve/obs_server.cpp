@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <sstream>
 #include <thread>
 
+#include "common/parse.hpp"
 #include "obs/health.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -167,11 +169,9 @@ HttpResponse ObservabilityServer::profile_endpoint(const HttpRequest& req) {
   double seconds = 0.0;
   const auto it = req.query.find("seconds");
   if (it != req.query.end()) {
-    try {
-      seconds = std::stod(it->second);
-    } catch (const std::exception&) {
-      return HttpResponse{400, "text/plain; charset=utf-8", "bad seconds\n"};
-    }
+    const std::optional<double> parsed = parse_double(it->second);
+    if (!parsed) return HttpResponse{400, "text/plain; charset=utf-8", "bad seconds\n"};
+    seconds = *parsed;
   }
   seconds = std::clamp(seconds, 0.0, 30.0);
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "exp/registry.hpp"
 #include "exp/runner.hpp"
+#include "obs/quality.hpp"
 
 namespace swt {
 namespace {
@@ -43,6 +45,32 @@ TEST(LineageDepth, FailedTransferBreaksTheChain) {
   const auto depth = lineage_depths(trace);
   EXPECT_EQ(depth.at(1), 1);
   EXPECT_EQ(depth.at(2), 2);
+}
+
+TEST(LineageDepth, AnalysisQualityAndRegistryAgreeOnWarmSeededChain) {
+  // Record 0 inherits from a warm-start seed (negative id, outside the
+  // trace) and record 1 from record 0.  The seed counts as depth 1 in every
+  // view, so the chain's depths are 2 and 3.
+  Trace trace;
+  trace.records = {record(0, 0.5, -2, 4), record(1, 0.6, 0, 4)};
+  const auto depth = lineage_depths(trace);
+  EXPECT_EQ(depth.at(0), 2);
+  EXPECT_EQ(depth.at(1), 3);
+
+  const LineageSummary analysis = summarize_lineage(trace);
+  QualityTelemetry quality;
+  for (const EvalRecord& r : trace.records)
+    (void)quality.observe(QualityObservation{r.id, r.parent_id, r.tensors_transferred > 0,
+                                             r.transfer_fallback, r.first_epoch_score,
+                                             r.score});
+  const RunRecord registry = make_run_record("mnist", NasRunConfig{}, trace, 1.0);
+
+  EXPECT_DOUBLE_EQ(analysis.mean_depth, 2.5);
+  EXPECT_DOUBLE_EQ(quality.mean_lineage_depth(), analysis.mean_depth);
+  EXPECT_DOUBLE_EQ(registry.mean_lineage_depth, analysis.mean_depth);
+  EXPECT_EQ(quality.max_lineage_depth(), analysis.max_depth);
+  EXPECT_DOUBLE_EQ(quality.transfer_hit_rate(), analysis.transfer_fraction);
+  EXPECT_DOUBLE_EQ(registry.transfer_hit_rate, analysis.transfer_fraction);
 }
 
 TEST(LineageSummary, ComputesAggregates) {

@@ -112,25 +112,6 @@ TEST_F(RunnerFixture, FullTrainResumeFromOwnCheckpointIsResume) {
   EXPECT_LE(resumed.early_stop_epochs, app.full_train_max_epochs);
 }
 
-TEST_F(RunnerFixture, BucketScoresCoversTrace) {
-  const AppConfig app = make_app(AppId::kMnist, 3, {.data_scale = 0.25});
-  const NasRun run = run_nas(app, fast_cfg(TransferMode::kNone, 16));
-  const auto pts = bucket_scores(run.trace, 1.0);
-  ASSERT_FALSE(pts.empty());
-  int total = 0;
-  for (const auto& p : pts) {
-    total += p.count;
-    EXPECT_GE(p.mean, 0.0);
-    EXPECT_GE(p.ci95, 0.0);
-  }
-  EXPECT_EQ(total, 16);
-}
-
-TEST_F(RunnerFixture, BucketScoresEmptyInputs) {
-  Trace empty;
-  EXPECT_TRUE(bucket_scores(empty, 1.0).empty());
-}
-
 TEST(PairStudy, ShareableFractionWithinBounds) {
   const SearchSpace space = make_uno_space();
   const ShareableStudyResult r = shareable_pairs_study(space, 50, 1);

@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <map>
 
-#include "ckpt/swh5.hpp"
+#include "ckpt/checkpoint.hpp"
 #include "common/stats.hpp"
 #include "exp/analysis.hpp"
 #include "exp/runner.hpp"
@@ -95,23 +95,6 @@ TEST_P(TraceInvariants, TopKMatchesSortReference) {
     EXPECT_DOUBLE_EQ(top[i].score, scores[i]) << i;
 }
 
-TEST_P(TraceInvariants, BucketScoresConserveMass) {
-  const NasRun r = run();
-  for (double slot : {0.5, 1.0, 3.0}) {
-    const auto pts = bucket_scores(r.trace, slot);
-    int total = 0;
-    double weighted = 0.0;
-    for (const auto& p : pts) {
-      total += p.count;
-      weighted += p.mean * p.count;
-    }
-    EXPECT_EQ(total, 24);
-    double direct = 0.0;
-    for (const auto& rec : r.trace.records) direct += rec.score;
-    EXPECT_NEAR(weighted, direct, 1e-9);
-  }
-}
-
 TEST_P(TraceInvariants, LineageDepthsBoundedByTraceLength) {
   const NasRun r = run();
   const auto depths = lineage_depths(r.trace);
@@ -124,7 +107,7 @@ TEST_P(TraceInvariants, LineageDepthsBoundedByTraceLength) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceInvariants, ::testing::Values(1, 2, 3, 5, 8, 13));
 
 // ---------------------------------------------------------------------------
-// Serialization fuzz: random checkpoint / SWH5 trees round-trip
+// Serialization fuzz: random checkpoints round-trip
 // ---------------------------------------------------------------------------
 
 Checkpoint random_checkpoint(Rng& rng) {
@@ -172,18 +155,6 @@ TEST_P(SerializationFuzz, CompressedSizesMatchFormula) {
         encoded_size(CompressionKind::kFp16, static_cast<std::size_t>(t.value.numel()));
   }
   EXPECT_EQ(base - fp16, payload - fp16_payload);  // metadata identical
-}
-
-TEST_P(SerializationFuzz, CheckpointSurvivesSwh5Detour) {
-  Rng rng(GetParam() + 200);
-  const Checkpoint original = random_checkpoint(rng);
-  const Checkpoint back = swh5::to_checkpoint(
-      swh5::deserialize(swh5::serialize(swh5::from_checkpoint(original))));
-  ASSERT_EQ(back.tensors.size(), original.tensors.size());
-  for (std::size_t i = 0; i < original.tensors.size(); ++i) {
-    EXPECT_EQ(back.tensors[i].name, original.tensors[i].name);
-    EXPECT_EQ(back.tensors[i].value, original.tensors[i].value);
-  }
 }
 
 TEST_P(SerializationFuzz, TransferFromFuzzedCheckpointNeverCorruptsShapes) {

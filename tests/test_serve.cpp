@@ -375,6 +375,12 @@ TEST(ObservabilityServer, ProfileEndpointGates503UntilProfilerRuns) {
 
   req.query["seconds"] = "not-a-number";
   EXPECT_EQ(server.handle(req).status, 400);
+  // Trailing garbage must not sleep for its numeric prefix, and a NaN
+  // window must not fall back to the cumulative profile.
+  req.query["seconds"] = "5x";
+  EXPECT_EQ(server.handle(req).status, 400);
+  req.query["seconds"] = "nan";
+  EXPECT_EQ(server.handle(req).status, 400);
   req.query["seconds"] = "0";
   const HttpResponse resp = server.handle(req);
   EXPECT_EQ(resp.status, 200);

@@ -151,47 +151,6 @@ TEST(Builder, ConvOnWrongRankThrows) {
                std::invalid_argument);
 }
 
-TEST(SpacesZoo, ExtendedCifarUsesAvgPoolingAndGlobalHead) {
-  const SearchSpace space = make_cifar_space_ext(8);
-  EXPECT_EQ(space.num_vns(), 21);  // same structure as the paper's space
-  bool has_avg_choice = false;
-  for (const auto& vn : space.vns)
-    for (const auto& choice : vn.choices)
-      has_avg_choice |= choice.kind == OpKind::kAvgPool2D;
-  EXPECT_TRUE(has_avg_choice);
-
-  // Many random candidates must build and run, including all-conv stacks
-  // that reach the GlobalAvgPool head and Dense-flattened ones that skip it.
-  Rng rng(77);
-  for (int i = 0; i < 30; ++i) {
-    const ArchSeq arch = space.random_arch(rng);
-    NetworkPtr net;
-    ASSERT_NO_THROW(net = space.build(arch)) << arch_to_string(arch);
-    std::vector<Tensor> inputs;
-    inputs.emplace_back(space.input_shapes[0].prepend(2));
-    Rng drng(i);
-    inputs[0].randn(drng, 1.0f);
-    net->init(drng);
-    Tensor y;
-    ASSERT_NO_THROW(y = net->forward(inputs, false)) << arch_to_string(arch);
-    EXPECT_EQ(y.shape(), Shape({2, 10}));
-  }
-}
-
-TEST(SpacesZoo, ExtendedCifarTransfersAcrossPoolKinds) {
-  // Max->avg pool mutations do not change parameter shapes, so parent and
-  // child stay fully transferable.
-  const SearchSpace space = make_cifar_space_ext(8);
-  Rng rng(78);
-  const ArchSeq parent = space.random_arch(rng);
-  const ArchSeq child = space.mutate(parent, rng);
-  NetworkPtr pn = space.build(parent);
-  NetworkPtr cn = space.build(child);
-  EXPECT_EQ(hamming_distance(parent, child), 1);
-  EXPECT_GT(pn->param_count(), 0);
-  EXPECT_GT(cn->param_count(), 0);
-}
-
 struct SpaceCase {
   const char* name;
   SearchSpace (*make)();
@@ -201,7 +160,6 @@ SearchSpace make_cifar_default() { return make_cifar_space(8); }
 SearchSpace make_mnist_default() { return make_mnist_space(8); }
 SearchSpace make_nt3_default() { return make_nt3_space(96); }
 SearchSpace make_uno_default() { return make_uno_space(); }
-SearchSpace make_cifar_ext_default() { return make_cifar_space_ext(8); }
 
 class SpaceBuildSweep : public ::testing::TestWithParam<SpaceCase> {};
 
@@ -243,8 +201,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SpaceCase{"cifar", &make_cifar_default},
                       SpaceCase{"mnist", &make_mnist_default},
                       SpaceCase{"nt3", &make_nt3_default},
-                      SpaceCase{"uno", &make_uno_default},
-                      SpaceCase{"cifar_ext", &make_cifar_ext_default}),
+                      SpaceCase{"uno", &make_uno_default}),
     [](const ::testing::TestParamInfo<SpaceCase>& info) { return info.param.name; });
 
 }  // namespace
