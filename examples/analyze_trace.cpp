@@ -2,8 +2,8 @@
 // bench) and explain the weight-transfer dynamics — lineage depths,
 // parent-child score deltas, per-depth score means and checkpoint traffic.
 // JSON inputs are the observability layer's files instead: a span trace
-// (--trace-out) prints a per-phase virtual-time-share table plus a
-// critical-path summary, a metrics snapshot (--metrics-out) prints its
+// (--trace-out) prints the critical_path example's report (phase shares,
+// critical path, what-ifs), a metrics snapshot (--metrics-out) prints its
 // counters and histogram aggregates.  Collapsed CPU profiles (--profile-out
 // or GET /profile) print their top-10 hottest stacks.
 //
@@ -20,7 +20,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "common/stats.hpp"
@@ -39,76 +38,6 @@
 namespace {
 
 using namespace swt;
-
-/// Per-phase virtual-time shares of a span trace: how every worker-second
-/// of the simulated cluster was spent.  Child spans carry the phase
-/// category (train / transfer / checkpoint / idle / fault); the remainder
-/// up to workers x wall-span is scheduler idle time.
-void analyze_span_json(const std::vector<TraceEvent>& events) {
-  std::map<std::string, double> phase_seconds;
-  double top_level_seconds = 0.0;
-  double first_ts = 0.0, last_end = 0.0;
-  bool any = false;
-  std::set<int> workers;
-  for (const TraceEvent& ev : events) {
-    if (ev.ph != 'X' || ev.pid != kTraceVirtualPid) continue;
-    workers.insert(ev.tid);
-    if (!any || ev.ts_us < first_ts) first_ts = ev.ts_us;
-    last_end = std::max(last_end, ev.ts_us + ev.dur_us);
-    any = true;
-    if (ev.cat == "eval") {
-      top_level_seconds += ev.dur_us / 1e6;  // whole-evaluation envelope
-    } else if (ev.cat == "fault") {
-      top_level_seconds += ev.dur_us / 1e6;  // crash work + recovery hole
-      phase_seconds["fault"] += ev.dur_us / 1e6;
-    } else {
-      phase_seconds[ev.cat == "idle" ? "checkpoint stall" : ev.cat] += ev.dur_us / 1e6;
-    }
-  }
-  if (!any) {
-    std::cout << "No virtual-cluster spans found in the trace.\n";
-    return;
-  }
-  const double span_seconds = (last_end - first_ts) / 1e6;
-  const double worker_seconds = span_seconds * static_cast<double>(workers.size());
-  phase_seconds["idle"] = std::max(0.0, worker_seconds - top_level_seconds);
-
-  print_banner(std::cout, "virtual time share by phase");
-  std::cout << workers.size() << " workers, " << TableReport::cell(span_seconds, 2)
-            << " virtual s makespan, " << TableReport::cell(worker_seconds, 2)
-            << " worker-seconds total\n\n";
-  TableReport table({"phase", "virtual s", "share"});
-  // Stable presentation order, largest systems concern first.
-  const char* order[] = {"train", "transfer", "checkpoint", "checkpoint stall",
-                         "fault", "idle"};
-  for (const char* phase : order) {
-    const auto it = phase_seconds.find(phase);
-    if (it == phase_seconds.end() || it->second <= 0.0) continue;
-    table.add_row({phase, TableReport::cell(it->second, 2),
-                   TableReport::cell_pct(it->second / worker_seconds)});
-  }
-  table.print(std::cout);
-  std::cout << "\nReading: the paper's \"low and scalable overhead\" claim holds when\n"
-               "checkpoint (+stall) stays a small share next to train; a large idle\n"
-               "share indicates the scheduler starves workers at this scale.\n";
-
-  // Critical-path summary: which chain of evaluations the makespan actually
-  // sits on, and what removing each cost class would be worth (full detail
-  // in the critical_path example).
-  const prof::CriticalPathInput input = prof::critical_path_input_from_events(events);
-  if (input.evals.empty()) return;
-  const prof::CriticalPathReport report = prof::analyze_critical_path(input);
-  print_banner(std::cout, "critical path");
-  std::cout << report.path.size() << " evaluations on the path, "
-            << TableReport::cell(report.path_seconds, 2) << " virtual s, "
-            << TableReport::cell(report.path_wait_seconds, 2)
-            << " s scheduler wait between them\n\n";
-  TableReport what_if({"what-if", "removes", "est. speedup"});
-  for (const prof::WhatIf& w : report.what_ifs)
-    what_if.add_row({w.name, TableReport::cell(w.removed_seconds, 2) + " s",
-                     TableReport::cell(w.est_speedup, 3) + "x"});
-  what_if.print(std::cout);
-}
 
 /// Collapsed CPU profile (nas_cli --profile-out / GET /profile): the top-10
 /// hottest stacks by sample count, leaf frame first — "where did the wall
@@ -255,7 +184,9 @@ void analyze_json(const std::string& path) {
       events = read_trace_json(replay);
     }
     std::cout << "Loaded " << events.size() << " trace events from " << path << "\n";
-    analyze_span_json(events);
+    print_critical_path(
+        std::cout, path,
+        prof::analyze_critical_path(prof::critical_path_input_from_events(events)));
   } else if (doc.contains("counters")) {
     std::cout << "Loaded metrics snapshot from " << path << "\n";
     analyze_metrics_json(doc);

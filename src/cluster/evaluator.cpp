@@ -11,17 +11,23 @@
 
 namespace swt {
 
-EvalPhases eval_phases(const EvalRecord& rec) noexcept {
-  EvalPhases p;
-  p.stall = rec.ckpt_read_wait;
-  p.read = rec.ckpt_read_cost;
-  p.write = rec.ckpt_write_charged;
-  p.retry = rec.retry_seconds;
-  const double compute = std::max(0.0, (rec.virtual_finish - rec.virtual_start) - p.stall -
-                                           p.read - p.write - p.retry);
-  p.transfer = std::min(rec.transfer_seconds, compute);
-  p.train = compute - p.transfer;
-  return p;
+prof::EvalSpan eval_span(const EvalRecord& rec) noexcept {
+  prof::EvalSpan s;
+  s.id = rec.id;
+  s.parent_id = rec.tensors_transferred > 0 ? rec.parent_id : -1;
+  s.worker = rec.worker;
+  s.start = rec.virtual_start;
+  s.finish = rec.virtual_finish;
+  s.ready_at = std::max(rec.virtual_finish, rec.ckpt_available_at);
+  s.stall = rec.ckpt_read_wait;
+  s.ckpt_read = rec.ckpt_read_cost;
+  s.ckpt_write = rec.ckpt_write_charged;
+  s.ckpt_retry = rec.retry_seconds;
+  const double compute = std::max(0.0, (s.finish - s.start) - s.stall - s.ckpt_read -
+                                           s.ckpt_write - s.ckpt_retry);
+  s.transfer = std::min(rec.transfer_seconds, compute);
+  s.train = compute - s.transfer;
+  return s;
 }
 
 Evaluator::Evaluator(const SearchSpace& space, const DatasetPair& data,
@@ -47,7 +53,7 @@ Evaluator::Evaluator(const SearchSpace& space, const DatasetPair& data,
 
 EvalRecord Evaluator::evaluate(long id, const Proposal& proposal, int attempt,
                                const FaultModel* faults) {
-  const ScopedSpan eval_span("evaluate " + std::to_string(id), "eval");
+  const ScopedSpan evaluate_span("evaluate " + std::to_string(id), "eval");
   if (metrics_enabled()) metrics().counter("eval.total").add();
   EvalRecord rec;
   rec.id = id;

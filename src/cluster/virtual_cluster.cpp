@@ -20,6 +20,7 @@
 #include "obs/events.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prof/critical_path.hpp"
 #include "obs/quality.hpp"
 #include "obs/span_tracer.hpp"
 #include "tensor/kernels.hpp"
@@ -54,8 +55,6 @@ struct Resubmit {
   int attempt;
 };
 
-constexpr double kUsPerS = 1e6;
-
 bool same_bits(double a, double b) noexcept {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
@@ -82,33 +81,6 @@ EvalRecord resolve_plan(const EvalRecord& planned, EvalRecord trained) {
   trained.worker = planned.worker;
   trained.faults |= planned.faults;
   return trained;
-}
-
-/// Emit one completed evaluation as a per-worker timeline: a top-level
-/// "eval" span plus one child span per eval_phases component, in virtual
-/// microseconds.
-void emit_eval_spans(SpanTracer& tracer, const EvalRecord& rec) {
-  const double dur = rec.virtual_finish - rec.virtual_start;
-  tracer.complete("eval " + std::to_string(rec.id), "eval", kTraceVirtualPid,
-                  rec.worker, rec.virtual_start * kUsPerS, dur * kUsPerS,
-                  {{"id", std::to_string(rec.id)},
-                   {"parent", std::to_string(rec.parent_id)},
-                   {"attempt", std::to_string(rec.attempt)},
-                   {"score", json_number(rec.score)}});
-  double t = rec.virtual_start;
-  const auto child = [&](const char* name, const char* cat, double seconds) {
-    if (seconds <= 0.0) return;
-    tracer.complete(name, cat, kTraceVirtualPid, rec.worker, t * kUsPerS,
-                    seconds * kUsPerS);
-    t += seconds;
-  };
-  const EvalPhases p = eval_phases(rec);
-  child("ckpt stall", "idle", p.stall);
-  child("ckpt read", "checkpoint", p.read);
-  child("transfer", "transfer", p.transfer);
-  child("train", "train", p.train);
-  child("ckpt write", "checkpoint", p.write);
-  child("ckpt retry", "checkpoint", p.retry);
 }
 
 }  // namespace
@@ -291,17 +263,18 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
     if (cd.crashed) {
       rec.faults |= kFaultCrash;
       const double crash_at = clock + cd.work_fraction * duration;
+      const CrashRecord& crash = trace.crashes.emplace_back(CrashRecord{
+          id, rec.attempt, w, clock, crash_at, crash_at + cfg.faults.worker_recovery_s});
       rec.virtual_finish = crash_at;
       ++trace.crashed_attempts;
       trace.lost_train_seconds += cd.work_fraction * compute_virtual;
       busy_seconds += crash_at - clock;
       recovery_seconds += cfg.faults.worker_recovery_s;
       if (tracer.enabled()) {
-        tracer.complete("crash (eval " + std::to_string(id) + ")", "fault",
-                        kTraceVirtualPid, w, clock * 1e6, (crash_at - clock) * 1e6,
-                        {{"attempt", std::to_string(rec.attempt)}});
-        tracer.complete("recovery", "fault", kTraceVirtualPid, w, crash_at * 1e6,
-                        cfg.faults.worker_recovery_s * 1e6);
+        prof::emit_fault_span(tracer, {w, crash.start, crash.crash_at},
+                              "crash (eval " + std::to_string(id) + ")",
+                              {{"attempt", std::to_string(rec.attempt)}});
+        prof::emit_fault_span(tracer, {w, crash.crash_at, crash.recovered_at}, "recovery");
       }
       if (bus.enabled()) {
         bus.emit(EventType::kWorkerCrashed, crash_at, w, id,
@@ -309,11 +282,9 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
                   {"lost_s", json_number(cd.work_fraction * compute_virtual)}});
         // The recovery end is known now; emitted eagerly with its virtual
         // timestamp, so the stream stays strictly append-only.
-        bus.emit(EventType::kWorkerRecovered,
-                 crash_at + cfg.faults.worker_recovery_s, w);
+        bus.emit(EventType::kWorkerRecovered, crash.recovered_at, w);
       }
-      worker_free[static_cast<std::size_t>(w)] =
-          crash_at + cfg.faults.worker_recovery_s;
+      worker_free[static_cast<std::size_t>(w)] = crash.recovered_at;
       in_flight.push(InFlight{crash_at, std::move(rec), w, /*crashed=*/true,
                               std::move(proposal), {}});
       return;
@@ -472,7 +443,11 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
       ++trace.transfer_fallbacks;
       if (live_metrics) metrics().counter("cluster.transfer_fallbacks_total").add(1);
     }
-    if (tracer.enabled()) emit_eval_spans(tracer, done.record);
+    if (tracer.enabled())
+      prof::emit_eval_span(tracer, eval_span(done.record),
+                           "eval " + std::to_string(done.record.id),
+                           {{"attempt", std::to_string(done.record.attempt)},
+                            {"score", json_number(done.record.score)}});
     if (bus.enabled()) {
       bus.emit(EventType::kEvalFinished, done.record.virtual_finish, done.worker,
                done.record.id,

@@ -91,8 +91,21 @@ struct ClusterConfig {
   EvalJournal* journal = nullptr;
 };
 
+/// One evaluation attempt destroyed by a worker crash.  The worker holds
+/// the doomed attempt over [start, crash_at] and recovers over
+/// [crash_at, recovered_at]: the two fault blocks of the critical path.
+struct CrashRecord {
+  long id = -1;
+  int attempt = 0;
+  int worker = -1;
+  double start = 0.0;
+  double crash_at = 0.0;
+  double recovered_at = 0.0;
+};
+
 struct Trace {
   std::vector<EvalRecord> records;  ///< in virtual completion order
+  std::vector<CrashRecord> crashes;  ///< in dispatch order
   double makespan = 0.0;            ///< virtual finish time of the last record
   int num_workers = 0;
 

@@ -70,22 +70,10 @@ prof::CriticalPathInput critical_path_input(const Trace& trace) {
   prof::CriticalPathInput in;
   in.workers = trace.num_workers;
   in.evals.reserve(trace.records.size());
-  for (const EvalRecord& r : trace.records) {
-    prof::EvalSpan s;
-    s.id = r.id;
-    s.parent_id = r.tensors_transferred > 0 ? r.parent_id : -1;
-    s.worker = r.worker;
-    s.start = r.virtual_start;
-    s.finish = r.virtual_finish;
-    s.ready_at = std::max(r.virtual_finish, r.ckpt_available_at);
-    const EvalPhases p = eval_phases(r);
-    s.stall = p.stall;
-    s.ckpt_read = p.read;
-    s.transfer = p.transfer;
-    s.train = p.train;
-    s.ckpt_write = p.write;
-    s.ckpt_retry = p.retry;
-    in.evals.push_back(std::move(s));
+  for (const EvalRecord& r : trace.records) in.evals.push_back(eval_span(r));
+  for (const CrashRecord& c : trace.crashes) {
+    in.faults.push_back({c.worker, c.start, c.crash_at});
+    in.faults.push_back({c.worker, c.crash_at, c.recovered_at});
   }
   return in;
 }

@@ -48,11 +48,9 @@ struct ParentChildStats {
 /// rising means confirm the accumulated-training explanation.
 [[nodiscard]] std::map<int, double> mean_score_by_depth(const Trace& trace);
 
-/// Critical-path input rebuilt from a trace (CSV or in-memory).  Each
-/// record's phases come from eval_phases, the split the virtual cluster's
-/// span emission uses; per-fault intervals are not recorded in the CSV
-/// schema, so the faults list is empty here — read a span trace instead
-/// when fault attribution matters.
+/// Critical-path input of a trace (CSV or in-memory): one eval_span per
+/// record and, per crashed attempt, its lost-work and recovery fault blocks
+/// — the values run_search draws as virtual-timeline spans.
 [[nodiscard]] prof::CriticalPathInput critical_path_input(const Trace& trace);
 
 }  // namespace swt

@@ -97,6 +97,54 @@ void print_failure_summary(std::ostream& os, const Trace& trace) {
      << trace.records.size() << " evaluations\n";
 }
 
+void print_critical_path(std::ostream& os, const std::string& label,
+                         const prof::CriticalPathReport& r) {
+  print_banner(os, "critical path: " + label);
+  if (r.path.empty()) {
+    os << "no completed evaluations found.\n";
+    return;
+  }
+  os << r.workers << " workers, " << TableReport::cell(r.makespan - r.t0, 2)
+     << " virtual s makespan, " << TableReport::cell(r.worker_seconds, 2)
+     << " worker-seconds\n\n";
+
+  TableReport phases({"phase", "worker s", "share"});
+  for (const char* phase :
+       {"train", "transfer", "checkpoint", "checkpoint stall", "fault", "idle"}) {
+    const auto it = r.phase_seconds.find(phase);
+    if (it == r.phase_seconds.end() || it->second <= 0.0) continue;
+    phases.add_row({phase, TableReport::cell(it->second, 2),
+                    TableReport::cell_pct(it->second / r.worker_seconds)});
+  }
+  phases.print(os);
+  os << "share sum: " << TableReport::cell(r.share_sum * 100.0, 2) << "% ("
+     << (prof::passes_share_gate(r) ? "PASS" : "FAIL") << ": must be 100% +- 1%)\n";
+
+  os << "\ncritical path: " << r.path.size() << " nodes, "
+     << TableReport::cell(r.path_seconds, 2) << " s end-to-end, "
+     << TableReport::cell(r.path_wait_seconds, 2)
+     << " s of scheduler wait between nodes\n";
+  TableReport blocking({"blocking eval", "busy s", "share of path"});
+  for (const auto& [id, busy] : r.top_blocking)
+    blocking.add_row({std::to_string(id), TableReport::cell(busy, 2),
+                      TableReport::cell_pct(r.path_seconds > 0.0 ? busy / r.path_seconds
+                                                                 : 0.0)});
+  blocking.print(os);
+
+  os << '\n';
+  TableReport what_if({"what-if", "removes", "est. makespan", "est. speedup"});
+  for (const prof::WhatIf& w : r.what_ifs)
+    what_if.add_row({w.name, TableReport::cell(w.removed_seconds, 2) + " s",
+                     TableReport::cell(w.est_makespan, 2) + " s",
+                     TableReport::cell(w.est_speedup, 3) + "x"});
+  what_if.print(os);
+  os << "\nReading: \"bound_by parent\" hops mean transfer lineage gates the\n"
+        "schedule (the paper's selective-transfer cost); a large\n"
+        "zero_cost_checkpointing speedup reproduces the Fig. 10/11 claim\n"
+        "that checkpoint I/O, not training, limits scaling.  Estimates are\n"
+        "lower bounds: removing a cost never re-orders the schedule here.\n";
+}
+
 void print_metrics_snapshot(std::ostream& os, const MetricsSnapshot& snap) {
   if (snap.empty()) return;
   print_banner(os, "metrics snapshot");

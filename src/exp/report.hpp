@@ -7,6 +7,7 @@
 
 #include "cluster/virtual_cluster.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prof/critical_path.hpp"
 
 namespace swt {
 
@@ -68,6 +69,11 @@ class ReportCapture {
 /// I/O retries, random-init fallbacks).  Prints a single "no faults" line
 /// when the run was clean.
 void print_failure_summary(std::ostream& os, const Trace& trace);
+
+/// Print a critical-path report: phase shares with the share-sum gate's
+/// verdict, the path's blocking evaluations and the what-if table.
+void print_critical_path(std::ostream& os, const std::string& label,
+                         const prof::CriticalPathReport& r);
 
 /// Print a metrics snapshot as two tables: counters/gauges, then histogram
 /// aggregates (count, mean, p50/p90/p99, max).  Prints nothing for an empty

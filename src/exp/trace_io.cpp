@@ -16,24 +16,12 @@ constexpr const char* kHeader =
     "ckpt_available_at,virtual_start,virtual_finish,worker,"
     "attempt,faults,retries,retry_seconds,transfer_fallback,first_epoch_score";
 
-// Traces written before the first_epoch_score column existed.
-constexpr const char* kHeaderV2 =
-    "id,arch,score,parent_id,ckpt_key,param_count,tensors_transferred,"
-    "values_transferred,train_seconds,transfer_seconds,ckpt_read_cost,"
-    "ckpt_write_cost,ckpt_bytes,ckpt_write_charged,ckpt_read_wait,"
-    "ckpt_available_at,virtual_start,virtual_finish,worker,"
-    "attempt,faults,retries,retry_seconds,transfer_fallback";
-
-// Traces written before the fault-tolerance columns existed.
-constexpr const char* kLegacyHeader =
-    "id,arch,score,parent_id,ckpt_key,param_count,tensors_transferred,"
-    "values_transferred,train_seconds,transfer_seconds,ckpt_read_cost,"
-    "ckpt_write_cost,ckpt_bytes,ckpt_write_charged,ckpt_read_wait,"
-    "ckpt_available_at,virtual_start,virtual_finish,worker";
-
 constexpr std::size_t kColumns = 25;
-constexpr std::size_t kColumnsV2 = 24;
-constexpr std::size_t kLegacyColumns = 19;
+
+/// Crashed attempts trail the rows as comment lines, so a fault-free trace
+/// keeps its bytes: "# crash,id,attempt,worker,start,crash_at,recovered_at".
+constexpr const char* kCrashTag = "# crash";
+constexpr std::size_t kCrashColumns = 7;
 
 /// Architecture sequences are encoded as '|'-joined ints so the CSV stays
 /// one-value-per-column.
@@ -165,6 +153,9 @@ void write_trace_csv(std::ostream& os, const Trace& trace) {
        << r.attempt << ',' << r.faults << ',' << r.retries << ',' << r.retry_seconds
        << ',' << (r.transfer_fallback ? 1 : 0) << ',' << r.first_epoch_score << '\n';
   }
+  for (const CrashRecord& c : trace.crashes)
+    os << kCrashTag << ',' << c.id << ',' << c.attempt << ',' << c.worker << ','
+       << c.start << ',' << c.crash_at << ',' << c.recovered_at << '\n';
 }
 
 void write_trace_csv(const std::string& path, const Trace& trace) {
@@ -174,8 +165,7 @@ void write_trace_csv(const std::string& path, const Trace& trace) {
   if (!out) throw std::runtime_error("write_trace_csv: write failed for " + path);
 }
 
-Trace read_trace_csv(std::istream& is, bool* truncated) {
-  if (truncated != nullptr) *truncated = false;
+Trace read_trace_csv(std::istream& is) {
   Trace trace;
   std::string line;
   if (!std::getline(is, line) || !line.starts_with("# swtnas trace"))
@@ -203,73 +193,68 @@ Trace read_trace_csv(std::istream& is, bool* truncated) {
       }
     }
   }
-  if (!std::getline(is, line) ||
-      (line != kHeader && line != kHeaderV2 && line != kLegacyHeader))
+  if (!std::getline(is, line) || line != kHeader)
     throw std::runtime_error("read_trace_csv: unexpected header");
-  const std::size_t want =
-      line == kHeader ? kColumns : (line == kHeaderV2 ? kColumnsV2 : kLegacyColumns);
   std::size_t line_no = 2;
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) continue;
-    try {
-      const auto cells = split_csv_line(line);
-      if (cells.size() != want)
-        throw std::runtime_error("read_trace_csv: line " + std::to_string(line_no) +
-                                 ": expected " + std::to_string(want) + " columns, got " +
-                                 std::to_string(cells.size()));
-      RowReader row(cells, line_no);
-      EvalRecord r;
-      r.id = row.next_long("id");
-      r.arch = decode_arch(row.next_raw("arch"), row);
-      r.score = row.next_double("score");
-      r.parent_id = row.next_long("parent_id");
-      r.ckpt_key = row.next_raw("ckpt_key");
-      r.param_count = row.next_i64("param_count");
-      r.tensors_transferred = row.next_u64("tensors_transferred");
-      r.values_transferred = row.next_u64("values_transferred");
-      r.train_seconds = row.next_double("train_seconds");
-      r.transfer_seconds = row.next_double("transfer_seconds");
-      r.ckpt_read_cost = row.next_double("ckpt_read_cost");
-      r.ckpt_write_cost = row.next_double("ckpt_write_cost");
-      r.ckpt_bytes = row.next_u64("ckpt_bytes");
-      r.ckpt_write_charged = row.next_double("ckpt_write_charged");
-      r.ckpt_read_wait = row.next_double("ckpt_read_wait");
-      r.ckpt_available_at = row.next_double("ckpt_available_at");
-      r.virtual_start = row.next_double("virtual_start");
-      r.virtual_finish = row.next_double("virtual_finish");
-      r.worker = row.next_int("worker");
-      if (want >= kColumnsV2) {
-        r.attempt = row.next_int("attempt");
-        r.faults = row.next_unsigned("faults");
-        r.retries = row.next_int("retries");
-        r.retry_seconds = row.next_double("retry_seconds");
-        r.transfer_fallback = row.next_raw("transfer_fallback") != "0";
-      }
-      // Older formats carry no first-epoch score; the final score is the
-      // correct degenerate value (single-epoch estimation has them equal).
-      r.first_epoch_score =
-          want == kColumns ? row.next_double("first_epoch_score") : r.score;
-      trace.records.push_back(std::move(r));
-    } catch (const std::exception&) {
-      if (truncated == nullptr) throw;
-      // Tolerant mode: only a damaged *final* row may be dropped (the
-      // half-written artifact of a killed writer).  Anything readable after
-      // this row means the damage is interior — keep the diagnostics loud.
-      std::string rest;
-      while (std::getline(is, rest))
-        if (!rest.empty()) throw;
-      *truncated = true;
-      break;
+    const auto cells = split_csv_line(line);
+    const bool crash = cells.front() == kCrashTag;
+    if (!crash && !trace.crashes.empty())
+      throw std::runtime_error("read_trace_csv: line " + std::to_string(line_no) +
+                               ": record row after the crash lines");
+    const std::size_t want = crash ? kCrashColumns : kColumns;
+    if (cells.size() != want)
+      throw std::runtime_error("read_trace_csv: line " + std::to_string(line_no) +
+                               ": expected " + std::to_string(want) + " columns, got " +
+                               std::to_string(cells.size()));
+    RowReader row(cells, line_no);
+    if (crash) {
+      (void)row.next_raw("tag");
+      CrashRecord& c = trace.crashes.emplace_back();
+      c.id = row.next_long("id");
+      c.attempt = row.next_int("attempt");
+      c.worker = row.next_int("worker");
+      c.start = row.next_double("start");
+      c.crash_at = row.next_double("crash_at");
+      c.recovered_at = row.next_double("recovered_at");
+      continue;
     }
+    EvalRecord& r = trace.records.emplace_back();
+    r.id = row.next_long("id");
+    r.arch = decode_arch(row.next_raw("arch"), row);
+    r.score = row.next_double("score");
+    r.parent_id = row.next_long("parent_id");
+    r.ckpt_key = row.next_raw("ckpt_key");
+    r.param_count = row.next_i64("param_count");
+    r.tensors_transferred = row.next_u64("tensors_transferred");
+    r.values_transferred = row.next_u64("values_transferred");
+    r.train_seconds = row.next_double("train_seconds");
+    r.transfer_seconds = row.next_double("transfer_seconds");
+    r.ckpt_read_cost = row.next_double("ckpt_read_cost");
+    r.ckpt_write_cost = row.next_double("ckpt_write_cost");
+    r.ckpt_bytes = row.next_u64("ckpt_bytes");
+    r.ckpt_write_charged = row.next_double("ckpt_write_charged");
+    r.ckpt_read_wait = row.next_double("ckpt_read_wait");
+    r.ckpt_available_at = row.next_double("ckpt_available_at");
+    r.virtual_start = row.next_double("virtual_start");
+    r.virtual_finish = row.next_double("virtual_finish");
+    r.worker = row.next_int("worker");
+    r.attempt = row.next_int("attempt");
+    r.faults = row.next_unsigned("faults");
+    r.retries = row.next_int("retries");
+    r.retry_seconds = row.next_double("retry_seconds");
+    r.transfer_fallback = row.next_raw("transfer_fallback") != "0";
+    r.first_epoch_score = row.next_double("first_epoch_score");
   }
   return trace;
 }
 
-Trace read_trace_csv(const std::string& path, bool* truncated) {
+Trace read_trace_csv(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("read_trace_csv: cannot open " + path);
-  return read_trace_csv(in, truncated);
+  return read_trace_csv(in);
 }
 
 }  // namespace swt

@@ -2,8 +2,13 @@
 //
 // DeepHyper persists its search history as CSV results files that downstream
 // analysis notebooks consume; these helpers play the same role — every bench
-// can dump its traces for offline plotting, and the pair/τ studies can be
-// recomputed from a stored trace without rerunning the search.
+// can dump its traces for offline plotting, and the pair/τ studies and the
+// critical path can be recomputed from a stored trace without rerunning the
+// search.
+//
+// Format: a "# swtnas trace" preamble with the failure counters, the
+// 25-column header, one row per record, then one "# crash,..." line per
+// crashed attempt (none on a fault-free run).
 #pragma once
 
 #include <iosfwd>
@@ -13,21 +18,15 @@
 
 namespace swt {
 
-/// Write a header plus one row per record (completion order).
+/// Write the preamble, the header, one row per record (completion order)
+/// and the crash lines.
 void write_trace_csv(std::ostream& os, const Trace& trace);
 void write_trace_csv(const std::string& path, const Trace& trace);
 
-/// Parse a trace written by write_trace_csv.  Throws std::runtime_error on
-/// malformed input.  Round-trips every EvalRecord field except none (all
-/// fields are serialized).
-///
-/// `truncated` (optional) makes the reader crash-tolerant: a damaged or
-/// half-written *final* row — the artifact of a process killed mid-write —
-/// is dropped, the clean record prefix is returned and `*truncated` is set.
-/// A malformed row with intact rows after it is real corruption and still
-/// throws with full line/column diagnostics, as does every error when
-/// `truncated` is null (the historical strict behaviour).
-[[nodiscard]] Trace read_trace_csv(std::istream& is, bool* truncated = nullptr);
-[[nodiscard]] Trace read_trace_csv(const std::string& path, bool* truncated = nullptr);
+/// Parse a trace written by write_trace_csv: every EvalRecord field, the
+/// crash lines and the preamble counters.  Throws std::runtime_error, with
+/// line and column, on any other input.
+[[nodiscard]] Trace read_trace_csv(std::istream& is);
+[[nodiscard]] Trace read_trace_csv(const std::string& path);
 
 }  // namespace swt

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "obs/json.hpp"
@@ -13,12 +15,16 @@ namespace swt::prof {
 namespace {
 
 constexpr double kEps = 1e-9;
+constexpr double kUsPerS = 1e6;
 
-long arg_long(const TraceEvent& ev, const char* key, long fallback) {
+/// The number behind `key` in a span written by emit_eval_span or
+/// emit_fault_span; json_number's %.17g makes it the emitted double exactly.
+double number_arg(const TraceEvent& ev, const char* key) {
   for (const auto& [k, v] : ev.args) {
-    if (k == key) return std::strtol(v.c_str(), nullptr, 10);
+    if (k == key) return std::strtod(v.c_str(), nullptr);
   }
-  return fallback;
+  throw std::runtime_error("critical path: " + ev.cat + " span \"" + ev.name +
+                           "\" has no \"" + key + "\" arg");
 }
 
 /// A schedule item: either an evaluation (eval index >= 0) or a fault block.
@@ -32,55 +38,76 @@ struct Item {
 
 }  // namespace
 
+void emit_eval_span(SpanTracer& tracer, const EvalSpan& s, std::string name,
+                    std::vector<std::pair<std::string, std::string>> display) {
+  std::vector<std::pair<std::string, std::string>> args = {
+      {"id", std::to_string(s.id)},
+      {"parent_id", std::to_string(s.parent_id)},
+      {"start_s", json_number(s.start)},
+      {"finish_s", json_number(s.finish)},
+      {"ready_at_s", json_number(s.ready_at)},
+      {"stall_s", json_number(s.stall)},
+      {"ckpt_read_s", json_number(s.ckpt_read)},
+      {"transfer_s", json_number(s.transfer)},
+      {"train_s", json_number(s.train)},
+      {"ckpt_write_s", json_number(s.ckpt_write)},
+      {"ckpt_retry_s", json_number(s.ckpt_retry)}};
+  args.insert(args.end(), display.begin(), display.end());
+  tracer.complete(std::move(name), "eval", kTraceVirtualPid, s.worker, s.start * kUsPerS,
+                  (s.finish - s.start) * kUsPerS, std::move(args));
+  double t = s.start;
+  const auto child = [&](const char* child_name, const char* cat, double seconds) {
+    if (seconds <= 0.0) return;
+    tracer.complete(child_name, cat, kTraceVirtualPid, s.worker, t * kUsPerS,
+                    seconds * kUsPerS);
+    t += seconds;
+  };
+  child("ckpt stall", "idle", s.stall);
+  child("ckpt read", "checkpoint", s.ckpt_read);
+  child("transfer", "transfer", s.transfer);
+  child("train", "train", s.train);
+  child("ckpt write", "checkpoint", s.ckpt_write);
+  child("ckpt retry", "checkpoint", s.ckpt_retry);
+}
+
+void emit_fault_span(SpanTracer& tracer, const FaultSpan& f, std::string name,
+                     std::vector<std::pair<std::string, std::string>> display) {
+  display.insert(display.begin(),
+                 {{"start_s", json_number(f.start)}, {"finish_s", json_number(f.finish)}});
+  tracer.complete(std::move(name), "fault", kTraceVirtualPid, f.worker, f.start * kUsPerS,
+                  (f.finish - f.start) * kUsPerS, std::move(display));
+}
+
 CriticalPathInput critical_path_input_from_events(
     const std::vector<TraceEvent>& events) {
   CriticalPathInput in;
-  std::vector<int> workers_seen;
-
+  std::set<int> workers;
   for (const TraceEvent& ev : events) {
-    if (ev.ph != 'X' || ev.pid != kTraceVirtualPid) continue;
-    if (std::find(workers_seen.begin(), workers_seen.end(), ev.tid) ==
-        workers_seen.end())
-      workers_seen.push_back(ev.tid);
+    if (ev.pid != kTraceVirtualPid) continue;
+    if (ev.ph == 'M' && ev.name == "thread_name") workers.insert(ev.tid);
+    if (ev.ph != 'X') continue;
+    workers.insert(ev.tid);
     if (ev.cat == "eval") {
-      EvalSpan span;
-      span.id = arg_long(ev, "id", -1);
-      span.parent_id = arg_long(ev, "parent", -1);
-      span.worker = ev.tid;
-      span.start = ev.ts_us / 1e6;
-      span.finish = (ev.ts_us + ev.dur_us) / 1e6;
-      span.ready_at = span.finish;
-      in.evals.push_back(span);
+      EvalSpan s;
+      s.id = std::lround(number_arg(ev, "id"));
+      s.parent_id = std::lround(number_arg(ev, "parent_id"));
+      s.worker = ev.tid;
+      s.start = number_arg(ev, "start_s");
+      s.finish = number_arg(ev, "finish_s");
+      s.ready_at = number_arg(ev, "ready_at_s");
+      s.stall = number_arg(ev, "stall_s");
+      s.ckpt_read = number_arg(ev, "ckpt_read_s");
+      s.transfer = number_arg(ev, "transfer_s");
+      s.train = number_arg(ev, "train_s");
+      s.ckpt_write = number_arg(ev, "ckpt_write_s");
+      s.ckpt_retry = number_arg(ev, "ckpt_retry_s");
+      in.evals.push_back(s);
     } else if (ev.cat == "fault") {
-      in.faults.push_back({ev.tid, ev.ts_us / 1e6, (ev.ts_us + ev.dur_us) / 1e6});
+      in.faults.push_back(
+          {ev.tid, number_arg(ev, "start_s"), number_arg(ev, "finish_s")});
     }
   }
-
-  // Attribute phase segments to the enclosing eval on the same worker.
-  for (const TraceEvent& ev : events) {
-    if (ev.ph != 'X' || ev.pid != kTraceVirtualPid) continue;
-    if (ev.cat == "eval" || ev.cat == "fault") continue;
-    const double mid = (ev.ts_us + ev.dur_us / 2.0) / 1e6;
-    const double seconds = ev.dur_us / 1e6;
-    for (EvalSpan& span : in.evals) {
-      if (span.worker != ev.tid) continue;
-      if (mid < span.start - kEps || mid > span.finish + kEps) continue;
-      if (ev.name == "ckpt stall")
-        span.stall += seconds;
-      else if (ev.name == "ckpt read")
-        span.ckpt_read += seconds;
-      else if (ev.name == "transfer")
-        span.transfer += seconds;
-      else if (ev.name == "train")
-        span.train += seconds;
-      else if (ev.name == "ckpt write")
-        span.ckpt_write += seconds;
-      else if (ev.name == "ckpt retry")
-        span.ckpt_retry += seconds;
-      break;
-    }
-  }
-  in.workers = static_cast<int>(workers_seen.size());
+  in.workers = static_cast<int>(workers.size());
   return in;
 }
 
@@ -255,6 +282,10 @@ CriticalPathReport analyze_critical_path(const CriticalPathInput& in, int top_k)
   what_if("no_faults", fault_on_path);
   what_if("perfect_scheduling", r.path_wait_seconds);
   return r;
+}
+
+bool passes_share_gate(const CriticalPathReport& r) noexcept {
+  return !r.path.empty() && std::abs(r.share_sum - 1.0) <= 0.01;
 }
 
 std::string critical_path_json(const CriticalPathReport& r) {

@@ -1,6 +1,6 @@
 // Virtual-timeline critical-path analysis.
 //
-// The virtual cluster's span trace is a dispatch DAG: every evaluation is
+// The virtual cluster's schedule is a dispatch DAG: every evaluation is
 // bound either by the previous item on its worker (the worker was busy) or
 // by its provider parent (the transfer source had to finish and drain its
 // checkpoint first).  Walking binding predecessors backwards from the last
@@ -11,9 +11,12 @@
 // never lengthen it).
 //
 // Layering: this header is obs-only.  It consumes a neutral
-// `CriticalPathInput` which can be built from a span trace here
-// (`critical_path_input_from_events`) or from a `Trace` in exp/analysis —
-// obs cannot depend on the cluster layer.
+// `CriticalPathInput`.  The cluster layer converts each trace record with
+// `eval_span` (cluster/evaluator.hpp) and each crashed attempt into two
+// fault blocks; `critical_path_input` (exp/analysis.hpp) maps a `Trace`,
+// and `run_search` draws the same values with `emit_eval_span` /
+// `emit_fault_span`, whose args `critical_path_input_from_events` decodes.
+// A span trace and the trace CSV of one run therefore give one reading.
 #pragma once
 
 #include <map>
@@ -25,12 +28,12 @@
 
 namespace swt::prof {
 
-/// One completed evaluation with its per-phase decomposition (seconds).
-/// Phases mirror `emit_eval_spans`: stall + ckpt_read + transfer + train +
-/// ckpt_write + ckpt_retry == finish - start by construction.
+/// One completed evaluation with its per-phase decomposition (seconds):
+/// stall + ckpt_read + transfer + train + ckpt_write + ckpt_retry ==
+/// finish - start by construction.
 struct EvalSpan {
   long id = -1;
-  long parent_id = -1;
+  long parent_id = -1;  ///< provider whose weights it took; -1 = none
   int worker = -1;
   double start = 0.0;
   double finish = 0.0;
@@ -91,12 +94,27 @@ struct CriticalPathReport {
   std::vector<WhatIf> what_ifs;
 };
 
-/// Rebuild the input from a span trace (nas_cli --trace-out / GET /trace).
-/// Child phase segments are attributed to the enclosing eval span on the
-/// same worker track.
+/// Draw `s` on worker track `s.worker` of the virtual timeline: one "eval"
+/// span whose args carry every EvalSpan field (times in seconds, exact to
+/// the bit) plus one child span per non-empty phase for Perfetto.
+/// `display` args ride along for viewers; nothing reads them back.
+void emit_eval_span(SpanTracer& tracer, const EvalSpan& s, std::string name,
+                    std::vector<std::pair<std::string, std::string>> display);
+/// Draw a fault block the same way, as one "fault" span.
+void emit_fault_span(SpanTracer& tracer, const FaultSpan& f, std::string name,
+                     std::vector<std::pair<std::string, std::string>> display = {});
+
+/// Rebuild the input from a span trace (nas_cli --trace-out, the live
+/// tracer) by decoding the args of the spans above.  Workers are the
+/// virtual-timeline tracks.  Throws std::runtime_error on an eval or fault
+/// span without them.
 CriticalPathInput critical_path_input_from_events(const std::vector<TraceEvent>& events);
 
 CriticalPathReport analyze_critical_path(const CriticalPathInput& in, int top_k = 5);
+
+/// The acceptance gate: a non-empty path whose phase shares sum to
+/// 100% +- 1%.
+[[nodiscard]] bool passes_share_gate(const CriticalPathReport& r) noexcept;
 
 /// Machine-readable form (GET /criticalpath, criticalpath.json artifacts).
 std::string critical_path_json(const CriticalPathReport& r);

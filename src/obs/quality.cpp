@@ -27,9 +27,6 @@ double IncrementalKendall::tau() const noexcept {
   return static_cast<double>(concordant_ - discordant_) / static_cast<double>(pairs);
 }
 
-QualityTelemetry::QualityTelemetry(Config cfg)
-    : cfg_(cfg), kendall_(cfg.kendall_max_points) {}
-
 bool QualityTelemetry::observe(const QualityObservation& obs) {
   ++evals_;
   if (obs.transferred) ++transfer_hits_;
@@ -49,7 +46,7 @@ bool QualityTelemetry::observe(const QualityObservation& obs) {
   max_depth_ = std::max(max_depth_, depth);
 
   window_.push_back(obs.score);
-  if (window_.size() > cfg_.dispersion_window) window_.pop_front();
+  if (window_.size() > kDispersionWindow) window_.pop_front();
 
   kendall_.add(obs.first_epoch_score, obs.score);
 

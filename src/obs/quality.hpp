@@ -67,15 +67,11 @@ struct QualityObservation {
 
 class QualityTelemetry {
  public:
-  struct Config {
-    /// Window (completed evals) for the population score-dispersion gauge,
-    /// roughly one evolution population by default.
-    std::size_t dispersion_window = 32;
-    std::size_t kendall_max_points = 4096;
-  };
-
-  QualityTelemetry() : QualityTelemetry(Config{}) {}
-  explicit QualityTelemetry(Config cfg);
+  /// Window (completed evals) for the population score-dispersion gauge,
+  /// roughly one evolution population.
+  static constexpr std::size_t kDispersionWindow = 32;
+  /// Points the early-vs-final Kendall tau keeps.
+  static constexpr std::size_t kKendallMaxPoints = 4096;
 
   /// Fold one completed evaluation in and refresh the quality.* gauges.
   /// Returns true when this evaluation improved the rolling best score
@@ -98,7 +94,6 @@ class QualityTelemetry {
  private:
   void publish_gauges() const;
 
-  Config cfg_;
   std::size_t evals_ = 0;
   std::size_t transfer_hits_ = 0;
   std::size_t transfer_fallbacks_ = 0;
@@ -109,7 +104,7 @@ class QualityTelemetry {
   long depth_sum_ = 0;
   int max_depth_ = 0;
   std::deque<double> window_;
-  IncrementalKendall kendall_;
+  IncrementalKendall kendall_{kKendallMaxPoints};
 };
 
 }  // namespace swt

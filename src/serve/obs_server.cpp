@@ -142,11 +142,9 @@ HttpResponse ObservabilityServer::series_endpoint(const HttpRequest& req) {
   std::size_t max_points = 512;
   const auto mp = req.query.find("max_points");
   if (mp != req.query.end()) {
-    try {
-      max_points = static_cast<std::size_t>(std::stoul(mp->second));
-    } catch (const std::exception&) {
-      return HttpResponse{400, "text/plain; charset=utf-8", "bad max_points\n"};
-    }
+    const std::optional<std::uint64_t> parsed = parse_u64(mp->second);
+    if (!parsed) return HttpResponse{400, "text/plain; charset=utf-8", "bad max_points\n"};
+    max_points = static_cast<std::size_t>(*parsed);
   }
   const std::vector<SeriesPoint> pts = store_->window(name, max_points);
   const auto fmt = req.query.find("format");

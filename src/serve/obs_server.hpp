@@ -9,7 +9,8 @@
 //                  busy/idle — all read from the registry gauges run_search
 //                  publishes and the watchdog's event-derived worker table
 //   GET /series    ?name=<series>[&max_points=N][&format=csv] from the
-//                  TimeSeriesStore; without ?name, lists available series
+//                  TimeSeriesStore; without ?name, lists available series.
+//                  400 unless N is one whole unsigned number
 //   GET /profile   ?seconds=N collapsed-stack CPU profile (N=0 or absent:
 //                  cumulative since start; N>0: sample for a window).  503
 //                  when no profiler is attached or it is not running

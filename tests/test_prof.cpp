@@ -1,7 +1,8 @@
 // Performance-attribution plane (src/obs/prof): ring-buffer semantics,
 // sampling under concurrency, the counter fallback ladder, collapsed-text
-// round-trips, the critical-path analyzer on a hand-built DAG, and the
-// fork-safety contract.  Runs on a single-core host and degrades to
+// round-trips, the critical-path analyzer on a hand-built DAG, one
+// critical-path input from spans, CSV and memory, and the fork-safety
+// contract.  Runs on a single-core host and degrades to
 // GTEST_SKIP where the kernel denies per-thread timers.
 #include "obs/prof/sampler.hpp"
 
@@ -12,11 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/virtual_cluster.hpp"
@@ -27,6 +31,7 @@
 #include "obs/metrics.hpp"
 #include "obs/prof/counters.hpp"
 #include "obs/prof/critical_path.hpp"
+#include "obs/span_tracer.hpp"
 
 namespace {
 
@@ -444,6 +449,66 @@ TEST(CriticalPath, TraceBuilderDecomposesTheEnvelopeExactly) {
   EXPECT_NEAR(r.share_sum, 1.0, 1e-9);
   EXPECT_FALSE(r.path.empty());
   EXPECT_NEAR(r.makespan - r.t0, trace.makespan, 1e-9);
+}
+
+void expect_bit_equal(const prof::CriticalPathInput& a, const prof::CriticalPathInput& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(a.workers, b.workers);
+  ASSERT_EQ(a.evals.size(), b.evals.size());
+  for (std::size_t i = 0; i < a.evals.size(); ++i) {
+    const prof::EvalSpan& x = a.evals[i];
+    const prof::EvalSpan& y = b.evals[i];
+    EXPECT_EQ(x.id, y.id);
+    EXPECT_EQ(x.parent_id, y.parent_id);
+    EXPECT_EQ(x.worker, y.worker);
+    for (const auto& [p, q] : {std::pair{x.start, y.start}, {x.finish, y.finish},
+                               {x.ready_at, y.ready_at}, {x.stall, y.stall},
+                               {x.ckpt_read, y.ckpt_read}, {x.transfer, y.transfer},
+                               {x.train, y.train}, {x.ckpt_write, y.ckpt_write},
+                               {x.ckpt_retry, y.ckpt_retry}})
+      EXPECT_EQ(bits(p), bits(q)) << "eval " << x.id;
+  }
+  ASSERT_EQ(a.faults.size(), b.faults.size());
+  for (std::size_t i = 0; i < a.faults.size(); ++i) {
+    EXPECT_EQ(a.faults[i].worker, b.faults[i].worker);
+    EXPECT_EQ(bits(a.faults[i].start), bits(b.faults[i].start));
+    EXPECT_EQ(bits(a.faults[i].finish), bits(b.faults[i].finish));
+  }
+}
+
+TEST(CriticalPath, SpansCsvAndMemoryGiveOneInput) {
+  // A span trace, the in-memory trace and its CSV round trip are one
+  // reading of the run, faults included: the span args carry the values
+  // eval_span and the crash records give, bit for bit.
+  SpanTracer& tracer = SpanTracer::global();
+  for (const TransferMode mode : {TransferMode::kNone, TransferMode::kLCS}) {
+    tracer.clear();
+    tracer.set_enabled(true);
+    const AppConfig app = make_app(AppId::kMnist, 7);
+    NasRunConfig cfg;
+    cfg.mode = mode;
+    cfg.n_evals = 16;
+    cfg.seed = 7;
+    cfg.cluster.num_workers = 4;
+    cfg.cluster.fixed_train_seconds = 2.0;
+    cfg.cluster.async_checkpointing = true;
+    cfg.cluster.faults.mtbf_seconds = 5.0;
+    cfg.cluster.faults.worker_recovery_s = 5.0;
+    const Trace trace = run_nas(app, cfg).trace;
+    tracer.set_enabled(false);
+    std::stringstream spans;
+    write_trace_json(spans, tracer.events());
+    tracer.clear();
+
+    ASSERT_GT(trace.crashes.size(), 0u);
+    EXPECT_EQ(static_cast<long>(trace.crashes.size()), trace.crashed_attempts);
+    std::stringstream csv;
+    write_trace_csv(csv, trace);
+    const prof::CriticalPathInput memory = critical_path_input(trace);
+    EXPECT_EQ(memory.faults.size(), 2 * trace.crashes.size());
+    expect_bit_equal(memory, critical_path_input(read_trace_csv(csv)));
+    expect_bit_equal(memory, prof::critical_path_input_from_events(read_trace_json(spans)));
+  }
 }
 
 TEST(CriticalPath, EmptyInputYieldsEmptyReport) {

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "exp/analysis.hpp"
 #include "exp/apps.hpp"
 #include "exp/runner.hpp"
 #include "obs/events.hpp"
@@ -289,9 +290,12 @@ TEST(ObservabilityServer, SeriesEndpointListsFiltersAndFormats) {
   EXPECT_EQ(csv.body.substr(0, csv.body.find('\n')), "series,wall_s,virtual_s,value");
 
   req.query.clear();
-  req.query["max_points"] = "not-a-number";
   req.query["name"] = "quality.best_score";
-  EXPECT_EQ(server.handle(req).status, 400);
+  // One whole unsigned number or 400: no prefix parse, no wrapped "-1".
+  for (const char* bad : {"not-a-number", "5x", "-1", "2.5"}) {
+    req.query["max_points"] = bad;
+    EXPECT_EQ(server.handle(req).status, 400) << bad;
+  }
 }
 
 TEST(ObservabilityServer, UnknownPathGets404AndIndexLists) {
@@ -417,11 +421,15 @@ TEST(ObservabilityServer, CriticalPathEndpointGates503UntilSpansExist) {
   cfg.seed = 11;
   cfg.cluster.num_workers = 2;
   cfg.cluster.fixed_train_seconds = 1.0;
-  (void)run_nas(app, cfg);
+  const Trace trace = run_nas(app, cfg).trace;
 
   const HttpResponse resp = server.handle(req);
   EXPECT_EQ(resp.status, 200);
   EXPECT_EQ(resp.content_type, "application/json");
+  // The live spans give the trace's own report, byte for byte.
+  EXPECT_EQ(resp.body,
+            prof::critical_path_json(prof::analyze_critical_path(critical_path_input(trace))) +
+                "\n");
   const JsonValue doc = parse_json(resp.body);
   EXPECT_EQ(doc.at("workers").number, 2.0);
   EXPECT_GT(doc.at("critical_path").at("nodes").array.size(), 0u);

@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "exp/runner.hpp"
 
@@ -107,10 +109,23 @@ TEST(TraceIo, FaultFieldsAndCountersRoundTrip) {
   r.retry_seconds = 0.25;
   r.transfer_fallback = true;
   original.records.push_back(r);
+  original.crashes.push_back({7, 0, 1, 0.5, 1.0 / 3.0, 5.0 + 1.0 / 3.0});
+  original.crashes.push_back({7, 1, 0, 6.0, 6.25, 11.25});
 
   std::stringstream ss;
   write_trace_csv(ss, original);
   const Trace restored = read_trace_csv(ss);
+  ASSERT_EQ(restored.crashes.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const CrashRecord& a = original.crashes[i];
+    const CrashRecord& b = restored.crashes[i];
+    EXPECT_EQ(b.id, a.id);
+    EXPECT_EQ(b.attempt, a.attempt);
+    EXPECT_EQ(b.worker, a.worker);
+    EXPECT_EQ(b.start, a.start);
+    EXPECT_EQ(b.crash_at, a.crash_at);
+    EXPECT_EQ(b.recovered_at, a.recovered_at);
+  }
   EXPECT_EQ(restored.crashed_attempts, 3);
   EXPECT_EQ(restored.resubmissions, 2);
   EXPECT_EQ(restored.lost_evaluations, 1);
@@ -126,34 +141,6 @@ TEST(TraceIo, FaultFieldsAndCountersRoundTrip) {
   EXPECT_TRUE(b.transfer_fallback);
 }
 
-TEST(TraceIo, ReadsLegacyTracesWithoutFaultColumns) {
-  // A trace written before the fault-tolerance columns existed: 19 columns,
-  // no failure counters in the preamble.
-  const std::string text =
-      "# swtnas trace, num_workers=2, makespan=3.5\n"
-      "id,arch,score,parent_id,ckpt_key,param_count,tensors_transferred,"
-      "values_transferred,train_seconds,transfer_seconds,ckpt_read_cost,"
-      "ckpt_write_cost,ckpt_bytes,ckpt_write_charged,ckpt_read_wait,"
-      "ckpt_available_at,virtual_start,virtual_finish,worker\n"
-      "0,1|2,0.75,-1,ck-0,100,0,0,0.5,0,0,0.01,64,0.01,0,1.5,0,1.5,1\n";
-  std::stringstream ss(text);
-  const Trace restored = read_trace_csv(ss);
-  EXPECT_EQ(restored.num_workers, 2);
-  ASSERT_EQ(restored.records.size(), 1u);
-  const auto& r = restored.records[0];
-  EXPECT_EQ(r.id, 0);
-  EXPECT_DOUBLE_EQ(r.score, 0.75);
-  EXPECT_EQ(r.worker, 1);
-  // Fault fields default to "clean" for legacy traces.
-  EXPECT_EQ(r.attempt, 0);
-  EXPECT_EQ(r.faults, 0u);
-  EXPECT_EQ(r.retries, 0);
-  EXPECT_DOUBLE_EQ(r.retry_seconds, 0.0);
-  EXPECT_FALSE(r.transfer_fallback);
-  EXPECT_EQ(restored.crashed_attempts, 0);
-  EXPECT_EQ(restored.lost_evaluations, 0);
-}
-
 TEST(TraceIo, FirstEpochScoreRoundTrips) {
   Trace original;
   original.num_workers = 1;
@@ -167,113 +154,6 @@ TEST(TraceIo, FirstEpochScoreRoundTrips) {
   const Trace restored = read_trace_csv(ss);
   ASSERT_EQ(restored.records.size(), 1u);
   EXPECT_DOUBLE_EQ(restored.records[0].first_epoch_score, 0.25);
-}
-
-TEST(TraceIo, V2TwentyFourColumnTraceRoundTrips) {
-  // Dedicated round-trip through the 24-column fallback: render a modern
-  // trace whose first_epoch_score equals the final score (what the fallback
-  // reconstructs), then strip the trailing first_epoch_score column from the
-  // header and every data row — producing the exact V2 format — and check
-  // that reading it back restores every remaining field.  Deriving the text
-  // from the current writer keeps this test in sync with the live format.
-  Trace original;
-  original.num_workers = 3;
-  original.makespan = 9.5;
-  original.crashed_attempts = 1;
-  original.resubmissions = 1;
-  original.retry_seconds = 0.125;
-  for (long i = 0; i < 3; ++i) {
-    EvalRecord r;
-    r.id = i;
-    r.arch = {static_cast<int>(i), 2, 5};
-    r.score = 0.25 + 0.125 * static_cast<double>(i);
-    r.first_epoch_score = r.score;  // single-epoch: early == final
-    r.parent_id = i - 1;
-    r.ckpt_key = "ck-" + std::to_string(i);
-    r.param_count = 100 + i;
-    r.tensors_transferred = static_cast<std::size_t>(i);
-    r.values_transferred = static_cast<std::size_t>(10 * i);
-    r.train_seconds = 1.5;
-    r.ckpt_read_cost = 0.01;
-    r.ckpt_write_cost = 0.02;
-    r.ckpt_bytes = 64;
-    r.ckpt_write_charged = 0.02;
-    r.ckpt_available_at = 2.0 + static_cast<double>(i);
-    r.virtual_start = static_cast<double>(i);
-    r.virtual_finish = 2.0 + static_cast<double>(i);
-    r.worker = static_cast<int>(i);
-    r.attempt = static_cast<int>(i % 2);
-    r.faults = i == 1 ? (kFaultStraggler | kFaultCkptRead) : 0u;
-    r.retries = static_cast<int>(i);
-    r.retry_seconds = 0.0625 * static_cast<double>(i);
-    r.transfer_fallback = i == 2;
-    original.records.push_back(r);
-  }
-
-  std::stringstream out;
-  write_trace_csv(out, original);
-  std::istringstream lines(out.str());
-  std::string text, line;
-  bool first = true;
-  while (std::getline(lines, line)) {
-    if (!first) line.erase(line.rfind(','));  // drop the 25th column
-    first = false;
-    text += line + '\n';
-  }
-  ASSERT_NE(text.find(",transfer_fallback\n"), std::string::npos)
-      << "expected the stripped header to end at the V2 column set";
-
-  std::stringstream in(text);
-  const Trace restored = read_trace_csv(in);
-  EXPECT_EQ(restored.num_workers, 3);
-  EXPECT_DOUBLE_EQ(restored.makespan, 9.5);
-  EXPECT_EQ(restored.crashed_attempts, 1);
-  EXPECT_EQ(restored.resubmissions, 1);
-  EXPECT_DOUBLE_EQ(restored.retry_seconds, 0.125);
-  ASSERT_EQ(restored.records.size(), original.records.size());
-  for (std::size_t i = 0; i < original.records.size(); ++i) {
-    const auto& a = original.records[i];
-    const auto& b = restored.records[i];
-    EXPECT_EQ(a.id, b.id);
-    EXPECT_EQ(a.arch, b.arch);
-    EXPECT_DOUBLE_EQ(a.score, b.score);
-    EXPECT_DOUBLE_EQ(a.first_epoch_score, b.first_epoch_score);
-    EXPECT_EQ(a.parent_id, b.parent_id);
-    EXPECT_EQ(a.ckpt_key, b.ckpt_key);
-    EXPECT_EQ(a.param_count, b.param_count);
-    EXPECT_EQ(a.tensors_transferred, b.tensors_transferred);
-    EXPECT_EQ(a.values_transferred, b.values_transferred);
-    EXPECT_DOUBLE_EQ(a.train_seconds, b.train_seconds);
-    EXPECT_DOUBLE_EQ(a.ckpt_read_cost, b.ckpt_read_cost);
-    EXPECT_DOUBLE_EQ(a.ckpt_write_cost, b.ckpt_write_cost);
-    EXPECT_EQ(a.ckpt_bytes, b.ckpt_bytes);
-    EXPECT_DOUBLE_EQ(a.ckpt_write_charged, b.ckpt_write_charged);
-    EXPECT_DOUBLE_EQ(a.ckpt_available_at, b.ckpt_available_at);
-    EXPECT_DOUBLE_EQ(a.virtual_start, b.virtual_start);
-    EXPECT_DOUBLE_EQ(a.virtual_finish, b.virtual_finish);
-    EXPECT_EQ(a.worker, b.worker);
-    EXPECT_EQ(a.attempt, b.attempt);
-    EXPECT_EQ(a.faults, b.faults);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_DOUBLE_EQ(a.retry_seconds, b.retry_seconds);
-    EXPECT_EQ(a.transfer_fallback, b.transfer_fallback);
-  }
-}
-
-TEST(TraceIo, LegacyTraceDefaultsFirstEpochScoreToFinal) {
-  // V2 header (24 columns, pre-first_epoch_score).
-  const std::string text =
-      "# swtnas trace, num_workers=1, makespan=1\n"
-      "id,arch,score,parent_id,ckpt_key,param_count,tensors_transferred,"
-      "values_transferred,train_seconds,transfer_seconds,ckpt_read_cost,"
-      "ckpt_write_cost,ckpt_bytes,ckpt_write_charged,ckpt_read_wait,"
-      "ckpt_available_at,virtual_start,virtual_finish,worker,"
-      "attempt,faults,retries,retry_seconds,transfer_fallback\n"
-      "0,1,0.625,-1,ck-0,10,0,0,1,0,0,0,0,0,0,1,0,1,0,0,0,0,0,0\n";
-  std::stringstream ss(text);
-  const Trace restored = read_trace_csv(ss);
-  ASSERT_EQ(restored.records.size(), 1u);
-  EXPECT_DOUBLE_EQ(restored.records[0].first_epoch_score, 0.625);
 }
 
 // A corrupt cell must be reported with its file line and column name, not
@@ -323,13 +203,16 @@ TEST(TraceIo, TrailingGarbageInNumericCellIsRejected) {
 }
 
 TEST(TraceIo, CorruptArchOpReportsArchColumn) {
-  const std::string text =
-      "# swtnas trace, num_workers=1, makespan=1\n"
-      "id,arch,score,parent_id,ckpt_key,param_count,tensors_transferred,"
-      "values_transferred,train_seconds,transfer_seconds,ckpt_read_cost,"
-      "ckpt_write_cost,ckpt_bytes,ckpt_write_charged,ckpt_read_wait,"
-      "ckpt_available_at,virtual_start,virtual_finish,worker\n"
-      "0,1|oops|3,0.5,-1,ck-0,10,0,0,1,0,0,0,0,0,0,1,0,1,0\n";
+  std::stringstream out;
+  Trace t;
+  EvalRecord r;
+  r.arch = {1, 2, 3};
+  t.records.push_back(r);
+  write_trace_csv(out, t);
+  std::string text = out.str();
+  const auto pos = text.find("1|2|3");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 5, "1|oops|3");
   std::stringstream in(text);
   try {
     (void)read_trace_csv(in);
@@ -377,38 +260,22 @@ TEST(TraceIo, MissingFileThrows) {
                std::runtime_error);
 }
 
-TEST(TraceIo, TruncatedFinalRowYieldsCleanPrefix) {
-  // A process killed mid-write tears the final row; the crash-tolerant
-  // reader drops it, returns the intact prefix and raises the flag.
-  const Trace original = sample_trace();
-  std::ostringstream out;
-  write_trace_csv(out, original);
-  std::string text = out.str();
-  ASSERT_EQ(text.back(), '\n');
-  text.resize(text.size() - 25);  // rip bytes off the final row
-
-  std::istringstream in(text);
-  bool truncated = false;
-  const Trace restored = read_trace_csv(in, &truncated);
-  EXPECT_TRUE(truncated);
-  ASSERT_EQ(restored.records.size(), original.records.size() - 1);
-  for (std::size_t i = 0; i < restored.records.size(); ++i)
-    EXPECT_EQ(restored.records[i].id, original.records[i].id);
-}
-
-TEST(TraceIo, IntactTraceDoesNotRaiseTruncationFlag) {
-  const Trace original = sample_trace();
-  std::ostringstream out;
-  write_trace_csv(out, original);
-  std::istringstream in(out.str());
-  bool truncated = true;
-  const Trace restored = read_trace_csv(in, &truncated);
-  EXPECT_FALSE(truncated);
-  EXPECT_EQ(restored.records.size(), original.records.size());
+TEST(TraceIo, RecordRowAfterCrashLinesIsRejected) {
+  Trace t;
+  t.records.emplace_back();
+  t.crashes.push_back({0, 0, 0, 0.0, 1.0, 2.0});
+  std::stringstream out;
+  write_trace_csv(out, t);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(out, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 4u);  // preamble, header, record row, crash line
+  std::stringstream in(lines[0] + '\n' + lines[1] + '\n' + lines[3] + '\n' + lines[2] + '\n');
+  EXPECT_THROW((void)read_trace_csv(in), std::runtime_error);
 }
 
 TEST(TraceIo, TruncationToleranceStillThrowsWithoutTheFlag) {
-  // Null `truncated` keeps the historical strict behaviour.
+  // A torn final row (a writer killed mid-line) is malformed input like any
+  // other: the reader has no tolerant mode.
   const Trace original = sample_trace();
   std::ostringstream out;
   write_trace_csv(out, original);
@@ -416,21 +283,6 @@ TEST(TraceIo, TruncationToleranceStillThrowsWithoutTheFlag) {
   text.resize(text.size() - 25);
   std::istringstream in(text);
   EXPECT_THROW((void)read_trace_csv(in), std::runtime_error);
-}
-
-TEST(TraceIo, InteriorCorruptionThrowsEvenWithTheFlag) {
-  // A malformed row with intact rows after it is real corruption, not a
-  // crash artifact — loud, never silently shortened.
-  const Trace original = sample_trace();
-  std::ostringstream out;
-  write_trace_csv(out, original);
-  std::string text = out.str();
-  const auto second_last = text.rfind('\n', text.rfind('\n', text.size() - 2) - 1);
-  ASSERT_NE(second_last, std::string::npos);
-  text.replace(second_last + 1, 5, "#####");
-  std::istringstream in(text);
-  bool truncated = false;
-  EXPECT_THROW((void)read_trace_csv(in, &truncated), std::runtime_error);
 }
 
 }  // namespace
