@@ -3,7 +3,8 @@
 //
 // Reports GFLOP/s for all three GEMM variants (single-threaded naive vs
 // blocked), thread scaling of the blocked path at 256^3, and the conv
-// forward/backward im2col-vs-direct comparison — all into
+// forward/backward im2col-vs-direct comparison at one large shape and at
+// the shapes the search trains — all into
 // BENCH_bench_gemm.json via BenchResultFile.  Every timed pair is also
 // differentially checked (blocked output must equal the reference bit for
 // bit), so the bench doubles as a large-shape correctness harness.
@@ -277,8 +278,8 @@ void conv_study(bool smoke) {
     backward(x.data(), w.data(), dy.data(), dx.data(), dw.data(), db.data(), g);
     return dx;
   };
-  // dw + dx + db passes: ~3x the forward useful FLOPs.
-  const double bwd_flops = 3.0 * fwd_flops;
+  // dw and dx each cost one forward's useful FLOPs (db is O(patches)).
+  const double bwd_flops = 2.0 * fwd_flops;
   std::vector<float> dx_direct, dx_im2col;
   const auto [t_bwd_direct, t_bwd_im2col] = time_best_pair(
       reps, [&] { dx_direct = run_backward(k::naive::conv_backward); },
@@ -294,6 +295,99 @@ void conv_study(bool smoke) {
                  TableReport::cell(t_bwd_direct / t_bwd_im2col, 2) + "x"});
   table.print(std::cout);
   std::cout << "geometry: n=" << g.n << " 32x32x16 -> 3x3x32, stride 1, same pad\n";
+}
+
+// ---------------------------------------------------------------------------
+// Convolution at the shapes the search trains
+// ---------------------------------------------------------------------------
+
+/// "same"-padded 3x3 conv of n images (hw x hw x cin) to cout channels.
+k::ConvGeom same3x3(std::int64_t n, std::int64_t hw, std::int64_t cin, std::int64_t cout) {
+  k::ConvGeom g;
+  g.n = n;
+  g.h = g.w = g.oh = g.ow = hw;
+  g.cin = cin;
+  g.kh = g.kw = 3;
+  g.cout = cout;
+  g.pad_h = g.pad_w = 1;
+  return g;
+}
+
+/// Blocked vs naive:: per pass at real batch and input sizes, where the
+/// small-shape path (narrow micro-tiles, in-place operands, row-run im2col)
+/// decides the cost.  A network's first layer computes no input gradient,
+/// so "backward, no dx" is the pass that layer actually trains with; the
+/// naive reference always computes dx, so that row has no naive column.
+void search_shape_study(bool smoke) {
+  print_banner(std::cout, "conv at search shapes, single thread (naive vs blocked)");
+  k::set_compute_threads(1);
+  const int reps = smoke ? 20 : 200;
+  struct ConvShape {
+    const char* name;
+    k::ConvGeom g;
+  };
+  const ConvShape layers[] = {
+      {"cifar first 16x8x8x3->8", same3x3(16, 8, 3, 8)},
+      {"cifar mid 16x4x4x8->8", same3x3(16, 4, 8, 8)},
+      {"nt3 conv1d 8x384x1 k7->8", k::conv1d_geom(8, 384, 1, 7, 8, 378, 1, 0)},
+  };
+  TableReport table({"layer", "pass", "naive us", "blocked us", "naive GF/s",
+                     "blocked GF/s", "speedup"});
+  const auto us = [](double seconds) { return TableReport::cell(seconds * 1e6, 1); };
+  for (const ConvShape& l : layers) {
+    const k::ConvGeom& g = l.g;
+    const std::int64_t x_size = g.n * g.h * g.w * g.cin;
+    const std::int64_t w_size = g.kh * g.kw * g.cin * g.cout;
+    const auto x = random_vec(x_size, 21);
+    const auto w = random_vec(w_size, 22);
+    const auto bias = random_vec(g.cout, 23);
+    const auto dy = random_vec(g.patch_rows() * g.cout, 24);
+    const double fwd_flops = static_cast<double>(g.flops());
+
+    std::vector<float> y_naive(static_cast<std::size_t>(g.patch_rows() * g.cout));
+    std::vector<float> y_blocked(y_naive.size());
+    const auto [t_fwd_naive, t_fwd_blocked] = time_best_pair(
+        reps,
+        [&] { k::naive::conv_forward(x.data(), w.data(), bias.data(), y_naive.data(), g); },
+        [&] { k::conv_forward(x.data(), w.data(), bias.data(), y_blocked.data(), g); });
+    check_match(y_blocked, y_naive, std::string(l.name) + " forward");
+
+    struct Grads {
+      std::vector<float> dx, dw, db;
+    };
+    const auto backward = [&](auto&& fn, bool want_dx) {
+      Grads gr{std::vector<float>(static_cast<std::size_t>(x_size), 0.0f),
+               std::vector<float>(static_cast<std::size_t>(w_size), 0.0f),
+               std::vector<float>(static_cast<std::size_t>(g.cout), 0.0f)};
+      fn(x.data(), w.data(), dy.data(), want_dx ? gr.dx.data() : nullptr, gr.dw.data(),
+         gr.db.data(), g);
+      return gr;
+    };
+    Grads naive_grads, blocked_grads, params_only;
+    const auto [t_bwd_naive, t_bwd_blocked] = time_best_pair(
+        reps, [&] { naive_grads = backward(k::naive::conv_backward, true); },
+        [&] { blocked_grads = backward(k::conv_backward, true); });
+    check_match(blocked_grads.dx, naive_grads.dx, std::string(l.name) + " backward dx");
+    check_match(blocked_grads.dw, naive_grads.dw, std::string(l.name) + " backward dw");
+    const double t_params =
+        time_best(reps, [&] { params_only = backward(k::conv_backward, false); });
+    check_match(params_only.dw, naive_grads.dw, std::string(l.name) + " no-dx dw");
+    check_match(params_only.db, naive_grads.db, std::string(l.name) + " no-dx db");
+
+    table.add_row({l.name, "forward", us(t_fwd_naive), us(t_fwd_blocked),
+                   TableReport::cell(gflops(fwd_flops, t_fwd_naive)),
+                   TableReport::cell(gflops(fwd_flops, t_fwd_blocked)),
+                   TableReport::cell(t_fwd_naive / t_fwd_blocked, 2) + "x"});
+    table.add_row({l.name, "backward", us(t_bwd_naive), us(t_bwd_blocked),
+                   TableReport::cell(gflops(2.0 * fwd_flops, t_bwd_naive)),
+                   TableReport::cell(gflops(2.0 * fwd_flops, t_bwd_blocked)),
+                   TableReport::cell(t_bwd_naive / t_bwd_blocked, 2) + "x"});
+    table.add_row({l.name, "backward, no dx", "-", us(t_params), "-",
+                   TableReport::cell(gflops(fwd_flops, t_params)),
+                   TableReport::cell(t_bwd_naive / t_params, 2) + "x"});
+  }
+  table.print(std::cout);
+  std::cout << "(the \"backward, no dx\" speedup is against the naive full backward)\n";
 }
 
 }  // namespace
@@ -316,6 +410,7 @@ int main(int argc, char** argv) {
   gemm_single_thread_study(smoke);
   gemm_scaling_study(smoke);
   conv_study(smoke);
+  search_shape_study(smoke);
   std::cout << (g_all_match
                     ? "\nPASS: every blocked result is bit-identical to its reference.\n"
                     : "\nFAIL: blocked kernels diverged from the naive reference.\n");

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "tensor/kernels.hpp"
-
 namespace swt {
 
 const char* to_string(Padding p) noexcept {
@@ -73,28 +71,25 @@ Tensor Conv2D::forward(const Tensor& x, bool /*train*/) {
   if (oh <= 0 || ow <= 0)
     throw std::invalid_argument("Conv2D " + name_ + ": kernel larger than input");
   Tensor y(Shape{n, oh, ow, cout_});
-  const kernels::ConvGeom g{n,  h,  w,       cin_,
-                            k_, k_, cout_,   oh,
-                            ow, stride_,
-                            pad_lo_for(h, k_, oh, stride_, pad_),
-                            pad_lo_for(w, k_, ow, stride_, pad_)};
-  kernels::conv_forward(x.data(), w_.data(), b_.data(), y.data(), g);
+  geom_ = {n,  h,  w,       cin_,
+           k_, k_, cout_,   oh,
+           ow, stride_,
+           pad_lo_for(h, k_, oh, stride_, pad_),
+           pad_lo_for(w, k_, ow, stride_, pad_)};
+  kernels::conv_forward(x.data(), w_.data(), b_.data(), y.data(), geom_);
   return y;
 }
 
 Tensor Conv2D::backward(const Tensor& dy) {
-  const auto& s = cached_x_.shape();
-  const std::int64_t n = s[0], h = s[1], w = s[2];
-  const std::int64_t oh = dy.shape()[1], ow = dy.shape()[2];
-  Tensor dx(s);
-  const kernels::ConvGeom g{n,  h,  w,       cin_,
-                            k_, k_, cout_,   oh,
-                            ow, stride_,
-                            pad_lo_for(h, k_, oh, stride_, pad_),
-                            pad_lo_for(w, k_, ow, stride_, pad_)};
+  Tensor dx(cached_x_.shape());
   kernels::conv_backward(cached_x_.data(), w_.data(), dy.data(), dx.data(), dw_.data(),
-                         db_.data(), g);
+                         db_.data(), geom_);
   return dx;
+}
+
+void Conv2D::backward_params(const Tensor& dy) {
+  kernels::conv_backward(cached_x_.data(), w_.data(), dy.data(), /*dx=*/nullptr,
+                         dw_.data(), db_.data(), geom_);
 }
 
 void Conv2D::collect_params(std::vector<ParamRef>& out) {
@@ -144,24 +139,22 @@ Tensor Conv1D::forward(const Tensor& x, bool /*train*/) {
   const std::int64_t olen = conv_out_extent(len, k_, pad_, stride_);
   if (olen <= 0) throw std::invalid_argument("Conv1D " + name_ + ": kernel larger than input");
   Tensor y(Shape{n, olen, cout_});
-  const kernels::ConvGeom g = kernels::conv1d_geom(
-      n, len, cin_, k_, cout_, olen, stride_,
-      pad_lo_for(len, k_, olen, stride_, pad_));
-  kernels::conv_forward(x.data(), w_.data(), b_.data(), y.data(), g);
+  geom_ = kernels::conv1d_geom(n, len, cin_, k_, cout_, olen, stride_,
+                               pad_lo_for(len, k_, olen, stride_, pad_));
+  kernels::conv_forward(x.data(), w_.data(), b_.data(), y.data(), geom_);
   return y;
 }
 
 Tensor Conv1D::backward(const Tensor& dy) {
-  const auto& s = cached_x_.shape();
-  const std::int64_t n = s[0], len = s[1];
-  const std::int64_t olen = dy.shape()[1];
-  Tensor dx(s);
-  const kernels::ConvGeom g = kernels::conv1d_geom(
-      n, len, cin_, k_, cout_, olen, stride_,
-      pad_lo_for(len, k_, olen, stride_, pad_));
+  Tensor dx(cached_x_.shape());
   kernels::conv_backward(cached_x_.data(), w_.data(), dy.data(), dx.data(), dw_.data(),
-                         db_.data(), g);
+                         db_.data(), geom_);
   return dx;
+}
+
+void Conv1D::backward_params(const Tensor& dy) {
+  kernels::conv_backward(cached_x_.data(), w_.data(), dy.data(), /*dx=*/nullptr,
+                         dw_.data(), db_.data(), geom_);
 }
 
 void Conv1D::collect_params(std::vector<ParamRef>& out) {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include "nn/layer.hpp"
+#include "tensor/kernels.hpp"
 
 namespace swt {
 
@@ -32,6 +33,7 @@ class Conv2D final : public Layer {
   void init(Rng& rng) override;
   [[nodiscard]] Tensor forward(const Tensor& x, bool train) override;
   [[nodiscard]] Tensor backward(const Tensor& dy) override;
+  void backward_params(const Tensor& dy) override;
   void collect_params(std::vector<ParamRef>& out) override;
   [[nodiscard]] std::string describe() const override;
 
@@ -42,6 +44,7 @@ class Conv2D final : public Layer {
   float weight_decay_;
   Tensor w_, b_, dw_, db_;
   Tensor cached_x_;
+  kernels::ConvGeom geom_;  // of the cached forward
 };
 
 class Conv1D final : public Layer {
@@ -53,6 +56,7 @@ class Conv1D final : public Layer {
   void init(Rng& rng) override;
   [[nodiscard]] Tensor forward(const Tensor& x, bool train) override;
   [[nodiscard]] Tensor backward(const Tensor& dy) override;
+  void backward_params(const Tensor& dy) override;
   void collect_params(std::vector<ParamRef>& out) override;
   [[nodiscard]] std::string describe() const override;
 
@@ -63,6 +67,7 @@ class Conv1D final : public Layer {
   float weight_decay_;
   Tensor w_, b_, dw_, db_;
   Tensor cached_x_;
+  kernels::ConvGeom geom_;  // of the cached forward
 };
 
 }  // namespace swt

@@ -44,6 +44,14 @@ Tensor Dense::forward(const Tensor& x, bool /*train*/) {
 }
 
 Tensor Dense::backward(const Tensor& dy) {
+  backward_params(dy);
+  const std::int64_t n = dy.shape()[0];
+  Tensor dx(Shape{n, in_});
+  kernels::gemm_nt(dy.data(), w_.data(), dx.data(), n, in_, out_);
+  return dx;
+}
+
+void Dense::backward_params(const Tensor& dy) {
   const std::int64_t n = dy.shape()[0];
   // dw += x^T * dy, accumulated straight into the grad buffer (no temp).
   kernels::gemm_tn(cached_x_.data(), dy.data(), dw_.data(), in_, out_, n,
@@ -52,9 +60,6 @@ Tensor Dense::backward(const Tensor& dy) {
     const float* row = dy.data() + i * out_;
     for (std::int64_t j = 0; j < out_; ++j) db_[static_cast<std::size_t>(j)] += row[j];
   }
-  Tensor dx(Shape{n, in_});
-  kernels::gemm_nt(dy.data(), w_.data(), dx.data(), n, in_, out_);
-  return dx;
 }
 
 void Dense::collect_params(std::vector<ParamRef>& out) {

@@ -14,6 +14,7 @@ class Dense final : public Layer {
   void init(Rng& rng) override;
   [[nodiscard]] Tensor forward(const Tensor& x, bool train) override;
   [[nodiscard]] Tensor backward(const Tensor& dy) override;
+  void backward_params(const Tensor& dy) override;
   void collect_params(std::vector<ParamRef>& out) override;
   [[nodiscard]] std::string describe() const override;
 

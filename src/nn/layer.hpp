@@ -54,6 +54,12 @@ class Layer {
   /// Given dL/d(output), accumulate parameter gradients and return dL/d(input).
   [[nodiscard]] virtual Tensor backward(const Tensor& dy) = 0;
 
+  /// Like backward() for a layer whose input gradient nobody reads (a
+  /// network's first layer, fed by data): accumulates exactly the parameter
+  /// gradients backward() would.  Layers that can skip computing dL/d(input)
+  /// override it; the default computes and discards it.
+  virtual void backward_params(const Tensor& dy) { (void)backward(dy); }
+
   /// Append this layer's parameters (if any) to `out`.
   virtual void collect_params(std::vector<ParamRef>& /*out*/) {}
 

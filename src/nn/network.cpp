@@ -38,7 +38,14 @@ Tensor Sequential::forward(std::span<const Tensor> inputs, bool train) {
   return h;
 }
 
-void Sequential::backward(const Tensor& dy) { (void)backward_to_input(dy); }
+void Sequential::backward(const Tensor& dy) {
+  if (layers_.empty()) return;
+  // The first layer's input is data: its dL/d(input) is never read, so it
+  // only accumulates parameter gradients.
+  Tensor g = dy;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) g = layers_[i]->backward(g);
+  layers_.front()->backward_params(g);
+}
 
 Tensor Sequential::backward_to_input(const Tensor& dy) {
   Tensor g = dy;
@@ -125,7 +132,7 @@ void MultiTowerNet::backward(const Tensor& dy) {
       float* dst = dt.data() + i * w;
       for (std::int64_t j = 0; j < w; ++j) dst[j] = src[j];
     }
-    (void)towers_[t]->backward_to_input(dt);
+    towers_[t]->backward(dt);
     offset += w;
   }
   // Gradient w.r.t. the raw fourth input is discarded (inputs are data).

@@ -30,6 +30,7 @@ class Network {
   [[nodiscard]] virtual Tensor forward(std::span<const Tensor> inputs, bool train) = 0;
 
   /// Propagate dL/d(output); parameter gradients accumulate into the refs.
+  /// The gradient w.r.t. the network's inputs is not computed.
   virtual void backward(const Tensor& dy) = 0;
 
   virtual void collect_params(std::vector<ParamRef>& out) = 0;
@@ -70,7 +71,8 @@ class Sequential final : public Network {
   void init(Rng& rng) override;
   [[nodiscard]] std::string describe() const override;
 
-  /// Like Network::backward but returns dL/d(input); used by MultiTowerNet.
+  /// Like Network::backward but also computes and returns dL/d(input);
+  /// used by MultiTowerNet's trunk.
   [[nodiscard]] Tensor backward_to_input(const Tensor& dy);
 
  private:

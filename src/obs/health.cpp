@@ -20,9 +20,13 @@ HealthWatchdog::~HealthWatchdog() { detach(); }
 
 void HealthWatchdog::attach(EventBus& bus) {
   detach();
+  // Registered outside mutex_: EventBus::emit calls on_event (which takes
+  // mutex_) under the bus lock, so taking the bus lock under mutex_ here
+  // would invert that order.
+  const int id = bus.add_listener([this](const Event& ev) { on_event(ev); });
   std::scoped_lock lock(mutex_);
   bus_ = &bus;
-  listener_id_ = bus.add_listener([this](const Event& ev) { on_event(ev); });
+  listener_id_ = id;
 }
 
 void HealthWatchdog::detach() {

@@ -229,32 +229,51 @@ struct PhaseInstruments {
   Counter& flops;
   Gauge& wall;
   Gauge& cpu;
-  Counter& cycles;
-  Counter& instructions;
-  Counter& cache_misses;
   Gauge& gflops;
-  Gauge& ipc;
 };
 
-PhaseInstruments make_phase(const char* p) {
-  const std::string prefix = std::string("prof.") + p;
+PhaseInstruments make_phase(const std::string& prefix) {
   return PhaseInstruments{
       metrics().counter(prefix + ".calls_total"),
       metrics().counter(prefix + ".flops_total"),
       metrics().gauge(prefix + ".wall_seconds"),
       metrics().gauge(prefix + ".cpu_seconds"),
+      metrics().gauge(prefix + ".gflops"),
+  };
+}
+
+/// Hardware-counter series of a phase.  Registered on the phase's first
+/// hardware sample, so a host on the CPU-clock fallback exports none of
+/// them instead of zeros it never measured.
+struct HardwareInstruments {
+  Counter& cycles;
+  Counter& instructions;
+  Counter& cache_misses;
+  Gauge& ipc;
+};
+
+HardwareInstruments make_hardware(const std::string& prefix) {
+  return HardwareInstruments{
       metrics().counter(prefix + ".cycles_total"),
       metrics().counter(prefix + ".instructions_total"),
       metrics().counter(prefix + ".cache_misses_total"),
-      metrics().gauge(prefix + ".gflops"),
       metrics().gauge(prefix + ".ipc"),
   };
 }
 
 PhaseInstruments& phase_instruments(Phase phase) {
-  static PhaseInstruments gemm = make_phase("gemm");
-  static PhaseInstruments conv = make_phase("conv");
+  static PhaseInstruments gemm = make_phase("prof.gemm");
+  static PhaseInstruments conv = make_phase("prof.conv");
   return phase == Phase::kGemm ? gemm : conv;
+}
+
+HardwareInstruments& hardware_instruments(Phase phase) {
+  if (phase == Phase::kGemm) {
+    static HardwareInstruments gemm = make_hardware("prof.gemm");
+    return gemm;
+  }
+  static HardwareInstruments conv = make_hardware("prof.conv");
+  return conv;
 }
 
 }  // namespace
@@ -267,18 +286,18 @@ void record_phase(Phase phase, double wall_seconds, std::int64_t flops,
   ins.flops.add(flops);
   ins.wall.add(wall_seconds);
   ins.cpu.add(delta.cpu_seconds);
-  if (delta.hardware) {
-    ins.cycles.add(delta.cycles);
-    ins.instructions.add(delta.instructions);
-    ins.cache_misses.add(delta.cache_misses);
-  }
   const double wall_total = ins.wall.value();
   if (wall_total > 0.0)
     ins.gflops.set(static_cast<double>(ins.flops.value()) / wall_total / 1e9);
-  const std::int64_t cycles_total = ins.cycles.value();
+  if (!delta.hardware) return;
+  HardwareInstruments& hw = hardware_instruments(phase);
+  hw.cycles.add(delta.cycles);
+  hw.instructions.add(delta.instructions);
+  hw.cache_misses.add(delta.cache_misses);
+  const std::int64_t cycles_total = hw.cycles.value();
   if (cycles_total > 0)
-    ins.ipc.set(static_cast<double>(ins.instructions.value()) /
-                static_cast<double>(cycles_total));
+    hw.ipc.set(static_cast<double>(hw.instructions.value()) /
+               static_cast<double>(cycles_total));
 }
 
 }  // namespace swt::prof

@@ -166,10 +166,12 @@ void HttpServer::start() {
 
 void HttpServer::stop() {
   if (!running_.exchange(false)) return;
-  // Unblock accept(): shutdown() makes the blocked call return on Linux;
-  // close() releases the fd.
+  // Unblock accept(): shutdown() makes the blocked call return on Linux.
+  // The fd is closed and reset only after the accept thread has joined,
+  // since accept_loop() reads listen_fd_ until it exits.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
@@ -178,7 +180,6 @@ void HttpServer::stop() {
     stopping_ = true;
   }
   queue_cv_.notify_all();
-  if (accept_thread_.joinable()) accept_thread_.join();
   for (std::thread& t : workers_)
     if (t.joinable()) t.join();
   workers_.clear();

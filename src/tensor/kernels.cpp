@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -191,18 +192,21 @@ inline void timed(int64_t flops, Rec rec, prof::Phase phase, Fn&& fn) {
 }
 
 // ---------------------------------------------------------------------------
-// Blocked GEMM — one packed core for nn / tn / nt
+// Blocked GEMM — one core for nn / tn / nt
 // ---------------------------------------------------------------------------
 // The output C is cut into a 2-D grid of (MC x NC) tiles; each tile has one
-// owner worker.  The owner walks k in KC panels, packing the A panel
-// (mlen x klen) and B panel (klen x nlen) a tile consumes into thread-local
-// buffers first: packing untransposes tn's A and nt's B, so a single
-// micro-kernel family serves all three variants, and each worker reads/
-// writes only its own buffers (no shared pack, no false sharing).  Register
-// micro-tiles (MR x NR lanes) hold a C sub-tile across one k panel, loaded
-// from and stored back to memory once per panel, so each element's chain
-// stays `C ... + t_k + t_{k+1} ...` in ascending k — bit-identical to the
-// naive loops while cutting B and C memory traffic by the tile factors.
+// owner worker.  The owner walks k in KC panels.  Where an operand panel's
+// source layout differs from what the micro-kernel reads, the owner first
+// packs it into a thread-local buffer: packing untransposes nt's B and, for
+// wide tiles, tn's A, and each worker reads/writes only its own buffers (no
+// shared pack, no false sharing).  Where packing buys nothing the panel is
+// read in place (see gemm_tile_range).  Register micro-tiles (MR rows x one
+// or two lane vectors) hold a C sub-tile across one k panel, loaded from and
+// stored back to memory once per panel, so each element's chain stays
+// `C ... + t_k + t_{k+1} ...` in ascending k — bit-identical to the naive
+// loops while cutting B and C memory traffic by the tile factors.  Which
+// panels are packed, and which tile width covers a column, changes only
+// where a term is read from, never the terms or their order.
 //
 // The accumulator tile is held in explicit vector-extension lanes rather
 // than a float[][] array: GCC's scalar-replacement gives up on a 64-float
@@ -214,136 +218,106 @@ inline void timed(int64_t flops, Rec rec, prof::Phase phase, Fn&& fn) {
 // too — equality holds by construction, not by codegen accident).
 
 constexpr int64_t MR = 4;    // micro-tile rows (broadcast reuse of a B row)
-constexpr int64_t NR = 16;   // micro-tile columns (one 16-lane vector)
+constexpr int64_t NR = 16;   // widest lane vector; tiles are 32/16/8/4 columns
 constexpr int64_t KC = 128;  // k panel
 constexpr int64_t NC = 128;  // column panel: KC*NC*4 B = 64 KiB of B stays hot
 constexpr int64_t MC = 64;   // tile rows: MC*KC*4 B = 32 KiB of packed A
+/// Largest row-major A (m * k floats, 1 MiB) a narrow tile reads in place
+/// when k > KC; larger ones are packed.  Read in place, bench_gemm's
+/// 8192 x 144 conv-study A (4.5 MiB) ran 9-24 % slower than packed, while
+/// the search's A (up to 1024 x 216) ran as fast or faster.
+constexpr int64_t kNarrowInPlaceA = int64_t{1} << 18;
 
 #if defined(__GNUC__) || defined(__clang__)
 #define SWT_VEC_EXT 1
 typedef float vf16 __attribute__((vector_size(64)));
+typedef float vf8 __attribute__((vector_size(32)));
+typedef float vf4 __attribute__((vector_size(16)));
+#endif
 
-inline vf16 load16(const float* p) {
-  vf16 v;
-  __builtin_memcpy(&v, p, sizeof v);  // unaligned vector load
+/// Unaligned load/store of one lane vector (or of one float: V = float is
+/// the one-lane tile that covers the last n % 4 columns).
+template <typename V>
+inline V load_v(const float* p) {
+  V v;
+  std::memcpy(&v, p, sizeof v);
   return v;
 }
-inline void store16(float* p, const vf16& v) { __builtin_memcpy(p, &v, sizeof v); }
-#endif
+template <typename V>
+inline void store_v(float* p, const V& v) {
+  std::memcpy(p, &v, sizeof v);
+}
 
-/// MRC x NR tile of C from packed panels: `a` is the packed A panel (row
-/// stride lda = klen), `b` the packed B panel (row stride ldb = nlen), k in
-/// [k0, k1) local to the panel.  `av` is a scalar broadcast against one
-/// 16-lane row of B.
-template <int MRC>
-inline void micro_n(const float* __restrict__ a, int64_t lda,
-                    const float* __restrict__ b, int64_t ldb,
-                    float* __restrict__ c, int64_t ldc, int64_t i0, int64_t j0,
-                    int64_t k0, int64_t k1) {
-#ifdef SWT_VEC_EXT
-  vf16 acc[MRC];
-  for (int r = 0; r < MRC; ++r) acc[r] = load16(c + (i0 + r) * ldc + j0);
-  for (int64_t kk = k0; kk < k1; ++kk) {
-    const vf16 bv = load16(b + kk * ldb + j0);
-    for (int r = 0; r < MRC; ++r) acc[r] += a[(i0 + r) * lda + kk] * bv;
-  }
-  for (int r = 0; r < MRC; ++r) store16(c + (i0 + r) * ldc + j0, acc[r]);
-#else
-  float acc[MRC][NR];
+/// MRC x (NV * lanes of V) tile of C at `c` (row stride ldc), accumulated
+/// over k in [0, klen): `a` points at the tile's first row of op(A), `b` at
+/// its first column of the B panel (row stride ldb).  Each A scalar is
+/// broadcast against NV vectors of one B row.  Element (r, kk) of op(A)
+/// lives at a[r * lda + kk] (row-major: nn, nt and every packed panel) or,
+/// with kColMajor, at a[kk * lda + r] (tn's A read in place).  The unit
+/// stride is a compile-time constant either way, so each instantiation
+/// indexes A with a single runtime stride.
+template <typename V, int NV, int MRC, bool kColMajor>
+inline void micro(const float* __restrict__ a, int64_t lda, const float* __restrict__ b,
+                  int64_t ldb, float* __restrict__ c, int64_t ldc, int64_t klen) {
+  constexpr int64_t L = sizeof(V) / sizeof(float);
+  V acc[MRC][NV];
   for (int r = 0; r < MRC; ++r)
-    for (int64_t j = 0; j < NR; ++j) acc[r][j] = c[(i0 + r) * ldc + j0 + j];
-  for (int64_t kk = k0; kk < k1; ++kk) {
-    const float* brow = b + kk * ldb + j0;
+    for (int v = 0; v < NV; ++v) acc[r][v] = load_v<V>(c + r * ldc + v * L);
+  for (int64_t kk = 0; kk < klen; ++kk) {
+    V bv[NV];
+    for (int v = 0; v < NV; ++v) bv[v] = load_v<V>(b + kk * ldb + v * L);
     for (int r = 0; r < MRC; ++r) {
-      const float av = a[(i0 + r) * lda + kk];
-      for (int64_t j = 0; j < NR; ++j) acc[r][j] += av * brow[j];
+      const float av = kColMajor ? a[kk * lda + r] : a[r * lda + kk];
+      for (int v = 0; v < NV; ++v) acc[r][v] += av * bv[v];
     }
   }
   for (int r = 0; r < MRC; ++r)
-    for (int64_t j = 0; j < NR; ++j) c[(i0 + r) * ldc + j0 + j] = acc[r][j];
-#endif
+    for (int v = 0; v < NV; ++v) store_v<V>(c + r * ldc + v * L, acc[r][v]);
 }
 
-#ifdef SWT_VEC_EXT
-/// Double-width variant: MRC x 32 tile (two vectors per row).  Halves the
-/// broadcast + loop overhead per FLOP; the hot path for large n.  Same
-/// ascending-k chain per element as micro_n.
-template <int MRC>
-inline void micro_n2(const float* __restrict__ a, int64_t lda,
-                     const float* __restrict__ b, int64_t ldb,
-                     float* __restrict__ c, int64_t ldc, int64_t i0, int64_t j0,
-                     int64_t k0, int64_t k1) {
-  vf16 acc0[MRC], acc1[MRC];
-  for (int r = 0; r < MRC; ++r) {
-    acc0[r] = load16(c + (i0 + r) * ldc + j0);
-    acc1[r] = load16(c + (i0 + r) * ldc + j0 + NR);
-  }
-  for (int64_t kk = k0; kk < k1; ++kk) {
-    const vf16 bv0 = load16(b + kk * ldb + j0);
-    const vf16 bv1 = load16(b + kk * ldb + j0 + NR);
-    for (int r = 0; r < MRC; ++r) {
-      const float av = a[(i0 + r) * lda + kk];
-      acc0[r] += av * bv0;
-      acc1[r] += av * bv1;
+/// Covers columns [j, nlen) of `rows` rows with NV x V micro-tiles while a
+/// whole tile fits; returns the first column left over.
+template <typename V, int NV, bool kColMajor>
+int64_t micro_columns(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
+                      int64_t ldc, int64_t rows, int64_t j, int64_t nlen, int64_t klen) {
+  constexpr int64_t W = NV * static_cast<int64_t>(sizeof(V) / sizeof(float));
+  for (; j + W <= nlen; j += W) {
+    switch (rows) {
+      case 4: micro<V, NV, 4, kColMajor>(a, lda, b + j, ldb, c + j, ldc, klen); break;
+      case 3: micro<V, NV, 3, kColMajor>(a, lda, b + j, ldb, c + j, ldc, klen); break;
+      case 2: micro<V, NV, 2, kColMajor>(a, lda, b + j, ldb, c + j, ldc, klen); break;
+      default: micro<V, NV, 1, kColMajor>(a, lda, b + j, ldb, c + j, ldc, klen); break;
     }
   }
-  for (int r = 0; r < MRC; ++r) {
-    store16(c + (i0 + r) * ldc + j0, acc0[r]);
-    store16(c + (i0 + r) * ldc + j0 + NR, acc1[r]);
-  }
-}
-#endif
-
-/// Scalar edge path for row/column tails; same per-element term order.
-inline void edge_n(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
-                   int64_t ldc, int64_t i0, int64_t i1, int64_t j0, int64_t j1,
-                   int64_t k0, int64_t k1) {
-  for (int64_t i = i0; i < i1; ++i) {
-    float* crow = c + i * ldc;
-    for (int64_t kk = k0; kk < k1; ++kk) {
-      const float av = a[i * lda + kk];
-      const float* brow = b + kk * ldb;
-      for (int64_t j = j0; j < j1; ++j) crow[j] += av * brow[j];
-    }
-  }
+  return j;
 }
 
-/// One (mlen x nlen) C tile accumulated over one packed k panel.  `c` points
-/// at the tile origin inside the full C (row stride ldc); `ap`/`bp` are the
-/// packed panels with local strides klen/nlen.
-void tile_panel(const float* ap, int64_t klen, const float* bp, int64_t nlen,
-                float* c, int64_t ldc, int64_t mlen) {
+/// One (mlen x nlen) C tile accumulated over one k panel of klen.  `c`
+/// points at the tile origin inside the full C (row stride ldc); `a` at
+/// op(A)'s (tile row 0, panel k 0) and `b` at the B panel's origin (row
+/// stride ldb), packed or in place.  Columns go to the widest tile that
+/// fits — 32, 16, 8, then 4 lanes — and the last n % 4 to one-lane tiles.
+template <bool kColMajor>
+void tile_panel(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
+                int64_t ldc, int64_t mlen, int64_t nlen, int64_t klen) {
   for (int64_t i = 0; i < mlen; i += MR) {
-    const int64_t rows_left = std::min(MR, mlen - i);
+    const int64_t rows = std::min(MR, mlen - i);
+    const float* ai = kColMajor ? a + i : a + i * lda;
+    float* ci = c + i * ldc;
     int64_t j = 0;
 #ifdef SWT_VEC_EXT
-    for (; j + 2 * NR <= nlen; j += 2 * NR) {
-      switch (rows_left) {
-        case 4: micro_n2<4>(ap, klen, bp, nlen, c, ldc, i, j, 0, klen); break;
-        case 3: micro_n2<3>(ap, klen, bp, nlen, c, ldc, i, j, 0, klen); break;
-        case 2: micro_n2<2>(ap, klen, bp, nlen, c, ldc, i, j, 0, klen); break;
-        default: micro_n2<1>(ap, klen, bp, nlen, c, ldc, i, j, 0, klen); break;
-      }
-    }
+    j = micro_columns<vf16, 2, kColMajor>(ai, lda, b, ldb, ci, ldc, rows, j, nlen, klen);
+    j = micro_columns<vf16, 1, kColMajor>(ai, lda, b, ldb, ci, ldc, rows, j, nlen, klen);
+    j = micro_columns<vf8, 1, kColMajor>(ai, lda, b, ldb, ci, ldc, rows, j, nlen, klen);
+    j = micro_columns<vf4, 1, kColMajor>(ai, lda, b, ldb, ci, ldc, rows, j, nlen, klen);
 #endif
-    for (; j + NR <= nlen; j += NR) {
-      switch (rows_left) {
-        case 4: micro_n<4>(ap, klen, bp, nlen, c, ldc, i, j, 0, klen); break;
-        case 3: micro_n<3>(ap, klen, bp, nlen, c, ldc, i, j, 0, klen); break;
-        case 2: micro_n<2>(ap, klen, bp, nlen, c, ldc, i, j, 0, klen); break;
-        default: micro_n<1>(ap, klen, bp, nlen, c, ldc, i, j, 0, klen); break;
-      }
-    }
-    if (j < nlen)
-      edge_n(ap, klen, bp, nlen, c, ldc, i, i + rows_left, j, nlen, 0, klen);
+    micro_columns<float, 1, kColMajor>(ai, lda, b, ldb, ci, ldc, rows, j, nlen, klen);
   }
 }
 
 /// Everything one GEMM call needs, independent of which worker runs a tile.
 /// `a_trans`: A is stored (k, m) with row stride lda (the tn variant);
-/// `b_trans`: B is stored (n, k) with row stride ldb (the nt variant) and
-/// the pack transposes it.  Either way the packed panels are plain row-major
-/// op(A)/op(B) sub-blocks.
+/// `b_trans`: B is stored (n, k) with row stride ldb (the nt variant).
 struct GemmSpec {
   const float* a;
   int64_t lda;
@@ -417,8 +391,26 @@ void pack_b(const GemmSpec& s, float* dst, int64_t k0, int64_t klen, int64_t j0,
 /// element belongs to exactly one tile, each tile to exactly one range, and
 /// the k panels run ascending — one accumulation chain per element, owned
 /// end to end by one thread.
+///
+/// A panel is read in place instead of packed when packing buys nothing,
+/// decided from the shape alone:
+///  * B when it is not transposed and n <= NC — the source rows already are
+///    the packed panel (row stride n == nlen) — and either n <= 2 * NR or
+///    m <= MC.  With one row tile a pack is a pure extra copy, and a narrow
+///    B is small and contiguous; a wide B shared by several row tiles gets
+///    its private packed copy (in place, 128^3 nn/tn in bench_gemm ran
+///    10-15 % slower although the strides are the same).
+///  * A when it is not transposed and k <= KC: likewise (row stride k ==
+///    klen).
+///  * A for narrow tiles (nlen <= 2 * NR): a packed A panel would serve at
+///    most two micro-tile columns, so the copy costs about as much as the
+///    reads it would speed up.  tn then reads A(k, m) column-wise, which
+///    drops the transposing pack from conv's dw += col^T * dy and Dense's
+///    dw += x^T * dy.  A row-major A with k > KC qualifies only up to
+///    kNarrowInPlaceA floats.
 void gemm_tile_range(const GemmSpec& s, int64_t tiles_m, int64_t lo, int64_t hi) {
   PackBuffers& bufs = pack_buffers();
+  const bool b_in_place = !s.b_trans && s.n <= NC && (s.n <= 2 * NR || s.m <= MC);
   int64_t t = lo;
   while (t < hi) {
     const int64_t jc = t / tiles_m;
@@ -440,9 +432,18 @@ void gemm_tile_range(const GemmSpec& s, int64_t tiles_m, int64_t lo, int64_t hi)
       t = group_end;
       continue;
     }
+    const bool narrow = nlen <= 2 * NR;
+    const bool a_in_place =
+        s.a_trans ? narrow : s.k <= KC || (narrow && s.m * s.k <= kNarrowInPlaceA);
     for (int64_t kc = 0; kc < s.k; kc += KC) {
       const int64_t klen = std::min(KC, s.k - kc);
-      pack_b(s, bufs.b.data(), kc, klen, j0, nlen);
+      const float* bp = s.b + kc * s.ldb + j0;
+      int64_t ldb = s.ldb;
+      if (!b_in_place) {
+        pack_b(s, bufs.b.data(), kc, klen, j0, nlen);
+        bp = bufs.b.data();
+        ldb = nlen;
+      }
       for (int64_t tt = t; tt < group_end; ++tt) {
         const int64_t i0 = (tt % tiles_m) * MC;
         const int64_t mlen = std::min(MC, s.m - i0);
@@ -451,8 +452,16 @@ void gemm_tile_range(const GemmSpec& s, int64_t tiles_m, int64_t lo, int64_t hi)
           for (int64_t r = 0; r < mlen; ++r)
             std::fill(ctile + r * s.n, ctile + r * s.n + nlen, 0.0f);
         }
-        pack_a(s, bufs.a.data(), i0, mlen, kc, klen);
-        tile_panel(bufs.a.data(), klen, bufs.b.data(), nlen, ctile, s.n, mlen);
+        if (!a_in_place) {
+          pack_a(s, bufs.a.data(), i0, mlen, kc, klen);
+          tile_panel<false>(bufs.a.data(), klen, bp, ldb, ctile, s.n, mlen, nlen, klen);
+        } else if (s.a_trans) {
+          tile_panel<true>(s.a + kc * s.lda + i0, s.lda, bp, ldb, ctile, s.n, mlen, nlen,
+                           klen);
+        } else {
+          tile_panel<false>(s.a + i0 * s.lda + kc, s.lda, bp, ldb, ctile, s.n, mlen, nlen,
+                            klen);
+        }
       }
     }
     t = group_end;
@@ -481,51 +490,85 @@ std::vector<float>& scratch(std::size_t slot, std::size_t size) {
   return buf;
 }
 
-/// im2col for patch rows [p_lo, p_hi).
+/// Copies n floats in constant-size chunks, so the copy stays inline: at
+/// im2col's run lengths (a few to a few dozen floats) the library call a
+/// variable-length std::copy becomes costs more than the copy itself.
+inline void copy_run(const float* src, int64_t n, float* dst) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) std::memcpy(dst + i, src + i, 8 * sizeof(float));
+  if (i + 4 <= n) {
+    std::memcpy(dst + i, src + i, 4 * sizeof(float));
+    i += 4;
+  }
+  for (; i < n; ++i) dst[i] = src[i];
+}
+
+/// Taps [lo, hi) of one kernel axis (k taps, tap 0 at input coordinate x0)
+/// that land inside an input axis of `extent`; lo == hi when none do.
+struct TapRange {
+  int64_t lo, hi;
+};
+inline TapRange in_image_taps(int64_t x0, int64_t k, int64_t extent) {
+  const int64_t lo = std::clamp<int64_t>(-x0, 0, k);
+  return {lo, std::clamp<int64_t>(extent - x0, lo, k)};
+}
+
+/// im2col for patch rows [p_lo, p_hi).  Channels-last storage makes the
+/// in-image taps of one kernel row a single contiguous run of the input
+/// row, so a patch is one zero fill (only when it overlaps the padding)
+/// plus one copy per in-image kernel row.  The tap ranges are fixed per
+/// patch; the patch coordinates advance incrementally (no division per
+/// patch).
 void im2col_rows(const float* x, float* col, const ConvGeom& g, int64_t p_lo,
                  int64_t p_hi) {
   const int64_t r_cols = g.patch_cols();
+  const int64_t run = g.kw * g.cin;
+  int64_t xo = p_lo % g.ow;
+  int64_t yo = (p_lo / g.ow) % g.oh;
+  int64_t ni = p_lo / (g.ow * g.oh);
   for (int64_t p = p_lo; p < p_hi; ++p) {
-    const int64_t xo = p % g.ow;
-    const int64_t yo = (p / g.ow) % g.oh;
-    const int64_t ni = p / (g.ow * g.oh);
+    const int64_t x0 = xo * g.stride - g.pad_w;  // input coordinates of tap (0, 0)
+    const int64_t y0 = yo * g.stride - g.pad_h;
+    const TapRange kw = in_image_taps(x0, g.kw, g.w);
+    const TapRange kh = in_image_taps(y0, g.kh, g.h);
     float* row = col + p * r_cols;
-    for (int64_t kh = 0; kh < g.kh; ++kh) {
-      const int64_t yi = yo * g.stride + kh - g.pad_h;
-      for (int64_t kw = 0; kw < g.kw; ++kw) {
-        const int64_t xi = xo * g.stride + kw - g.pad_w;
-        float* dst = row + (kh * g.kw + kw) * g.cin;
-        if (yi < 0 || yi >= g.h || xi < 0 || xi >= g.w) {
-          std::fill(dst, dst + g.cin, 0.0f);
-        } else {
-          const float* src = x + ((ni * g.h + yi) * g.w + xi) * g.cin;
-          std::copy(src, src + g.cin, dst);
-        }
+    if (kw.hi - kw.lo < g.kw || kh.hi - kh.lo < g.kh) std::fill(row, row + r_cols, 0.0f);
+    const int64_t body = (kw.hi - kw.lo) * g.cin;
+    for (int64_t r = kh.lo; r < kh.hi; ++r)
+      copy_run(x + ((ni * g.h + y0 + r) * g.w + x0 + kw.lo) * g.cin, body,
+               row + r * run + kw.lo * g.cin);
+    if (++xo == g.ow) {
+      xo = 0;
+      if (++yo == g.oh) {
+        yo = 0;
+        ++ni;
       }
     }
   }
 }
 
-/// Scatter-add dcol back into dx for images [n_lo, n_hi).  Partitioned by
-/// image: patches of different images never overlap in dx, and within an
-/// image the (yo, xo, kh, kw, ic) order matches the naive backward loop.
-void col2im_add_images(const float* dcol, float* dx, const ConvGeom& g, int64_t n_lo,
-                       int64_t n_hi) {
+/// Scatter-add dcol back into dx for images [n_lo, n_hi), one run per
+/// in-image kernel row, as im2col_rows copies them.  Partitioned
+/// by image: patches of different images never overlap in dx.  Within an
+/// image each dx element receives at most one term per patch, in ascending
+/// patch order — the naive backward loop's order.
+void col2im_add_images(const float* __restrict__ dcol, float* __restrict__ dx,
+                       const ConvGeom& g, int64_t n_lo, int64_t n_hi) {
   const int64_t r_cols = g.patch_cols();
+  const int64_t run = g.kw * g.cin;
   for (int64_t ni = n_lo; ni < n_hi; ++ni) {
     for (int64_t yo = 0; yo < g.oh; ++yo) {
+      const int64_t y0 = yo * g.stride - g.pad_h;
+      const TapRange kh = in_image_taps(y0, g.kh, g.h);
       for (int64_t xo = 0; xo < g.ow; ++xo) {
+        const int64_t x0 = xo * g.stride - g.pad_w;
+        const TapRange kw = in_image_taps(x0, g.kw, g.w);
+        const int64_t body = (kw.hi - kw.lo) * g.cin;
         const float* row = dcol + ((ni * g.oh + yo) * g.ow + xo) * r_cols;
-        for (int64_t kh = 0; kh < g.kh; ++kh) {
-          const int64_t yi = yo * g.stride + kh - g.pad_h;
-          if (yi < 0 || yi >= g.h) continue;
-          for (int64_t kw = 0; kw < g.kw; ++kw) {
-            const int64_t xi = xo * g.stride + kw - g.pad_w;
-            if (xi < 0 || xi >= g.w) continue;
-            const float* src = row + (kh * g.kw + kw) * g.cin;
-            float* dst = dx + ((ni * g.h + yi) * g.w + xi) * g.cin;
-            for (int64_t ic = 0; ic < g.cin; ++ic) dst[ic] += src[ic];
-          }
+        for (int64_t r = kh.lo; r < kh.hi; ++r) {
+          const float* src = row + r * run + kw.lo * g.cin;
+          float* dst = dx + ((ni * g.h + y0 + r) * g.w + x0 + kw.lo) * g.cin;
+          for (int64_t j = 0; j < body; ++j) dst[j] += src[j];
         }
       }
     }
@@ -666,7 +709,9 @@ void conv_backward(const float* x, const float* w, const float* dy, float* dx,
                    float* dw, float* db, const ConvGeom& g) {
   const int64_t rows = g.patch_rows();
   if (rows <= 0 || g.cout <= 0) return;
-  timed(3 * g.flops(), record_conv, prof::Phase::kConv, [&] {
+  // dw costs one forward's FLOPs, dx (when requested) another; db is O(rows).
+  const int64_t flops = dx != nullptr ? 2 * g.flops() : g.flops();
+  timed(flops, record_conv, prof::Phase::kConv, [&] {
     const int64_t r_cols = g.patch_cols();
     std::vector<float>& col = scratch(0, static_cast<std::size_t>(rows * r_cols));
     im2col(x, col.data(), g);
@@ -679,6 +724,7 @@ void conv_backward(const float* x, const float* w, const float* dy, float* dx,
     }
     // dw += col^T * dy — each kernel entry sums over patches ascending.
     gemm_tn(col.data(), dy, dw, r_cols, g.cout, rows, /*accumulate=*/true);
+    if (dx == nullptr) return;
     // dcol = dy * w^T, then scattered back into dx per image.
     std::vector<float>& dcol = scratch(1, static_cast<std::size_t>(rows * r_cols));
     gemm_nt(dy, w, dcol.data(), rows, r_cols, g.cout, /*accumulate=*/false);

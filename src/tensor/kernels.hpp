@@ -14,11 +14,18 @@
 //   the `naive::` references and to themselves at any `SWT_THREADS` — the
 //   property the registry/compare_runs CI gate and the trace
 //   bit-reproducibility test depend on.
-// * **Per-worker packed panels.**  Each worker packs the A and B panels a
-//   tile consumes into thread-local buffers (reused across calls, never
-//   shared), so threads do not contend on pack writes and the nt variant's
-//   strided B^T gather becomes a contiguous packed read.  Packing copies
-//   values; it never reorders an accumulation chain.
+// * **Per-worker packed panels, where packing pays.**  Each worker packs
+//   the A and B panels a tile consumes into thread-local buffers (reused
+//   across calls, never shared), so threads do not contend on pack writes
+//   and the nt variant's strided B^T gather becomes a contiguous packed
+//   read.  Where a pack would only copy — an A or B already in the packed
+//   layout (B only when narrow or used by a single row tile), or A for
+//   tiles at most two micro-tiles wide — the panel is read in place
+//   instead, a pure function of the shape.  Packing copies values; it
+//   never reorders an accumulation chain.
+// * **Narrow outputs run vectorized.**  Micro-tiles are 32, 16, 8 and 4
+//   lanes wide, so the 4-24-channel layers the search trains run at vector
+//   width; only the last n % 4 columns take one-lane tiles.
 // * **No data-dependent fast paths.**  The old `if (a == 0.0f) continue;`
 //   shortcut made FLOP counts and timings depend on the weight values and
 //   silently swallowed signalling NaNs (0 * NaN must propagate).  Neither
@@ -148,11 +155,15 @@ void conv_forward(const float* x, const float* w, const float* bias, float* y,
 /// cout) are *accumulated into*; `dx` (input-shaped) must be zero-filled by
 /// the caller and is accumulated into as well (matching Layer::backward
 /// semantics, where grads add up until zero_grads()).  `db` may be null.
+/// `dx` may be null when the input gradient is not needed (a network's
+/// first layer): the dy * w^T GEMM and the col2im scatter are then skipped,
+/// and dw/db are bit-identical to a call with dx.  Charged to the conv
+/// metrics as flops() for dw plus flops() when dx is computed.
 void conv_backward(const float* x, const float* w, const float* dy, float* dx,
                    float* dw, float* db, const ConvGeom& g);
 
 /// Materialize the im2col patch matrix: row p = ((ni*oh + yo)*ow + xo),
-/// column r = ((kh*kw + kw')*cin + ic); out-of-bounds taps are zero.
+/// column r = ((kh'*kw + kw')*cin + ic); out-of-bounds taps are zero.
 /// `col` must hold patch_rows() * patch_cols() floats.  Exposed for tests
 /// and bench_gemm.
 void im2col(const float* x, float* col, const ConvGeom& g);

@@ -60,8 +60,10 @@ struct GemmShape {
 /// Parameterized sweep: rotates each probe extent — degenerate (1), ragged
 /// primes, and every blocking-factor boundary +/-1 (MR=4, NR=16, MC=64,
 /// KC=128, NC=128) — through each of the three axes with ragged co-extents,
-/// plus degenerate-zero and panel-crossing triples.  Kept to ~1e8 scalar ops
-/// total so the sweep stays fast under TSan.
+/// plus degenerate-zero and panel-crossing triples, the narrow output widths
+/// the search trains (each micro-tile lane width 4/8/16 and its tails, with
+/// one and several k panels) and its long-reduction weight-gradient shapes.
+/// Kept to ~1e8 scalar ops total so the sweep stays fast under TSan.
 std::vector<GemmShape> sweep_shapes() {
   std::vector<GemmShape> shapes = {
       // Degenerate extents: empty output and empty reduction.
@@ -76,6 +78,15 @@ std::vector<GemmShape> sweep_shapes() {
     shapes.push_back({37, p, 29});  // n axis: NR/NC tails
     shapes.push_back({37, 29, p});  // k axis: KC tails
   }
+  // Narrow n: A is read in place for either orientation, and B in place.
+  for (const std::int64_t n : {4, 8, 12, 20, 24}) {
+    shapes.push_back({37, n, 29});
+    shapes.push_back({70, n, 300});  // two MC tiles, three k panels
+  }
+  // Conv dw = col^T * dy of NT3's Conv1D (7 taps) and CIFAR's first layer
+  // (3x3x3): tiny m x n, reductions over every patch of the batch.
+  shapes.push_back({7, 8, 3072});
+  shapes.push_back({27, 8, 1024});
   return shapes;
 }
 
@@ -276,7 +287,7 @@ TEST(Kernels, ParseThreadCountClampsHugeValues) {
 // -----------------------------------------------------------------------
 
 struct ConvCase {
-  std::int64_t n, h, w, cin, kk, cout, stride, pad_h, pad_w;
+  std::int64_t n, h, w, cin, kh, kw, cout, stride, pad_h, pad_w;
 };
 
 // Output extents follow "same" ceil(in/stride) for the padded cases and
@@ -287,27 +298,30 @@ k::ConvGeom make_geom(const ConvCase& c) {
   g.h = c.h;
   g.w = c.w;
   g.cin = c.cin;
-  g.kh = c.kk;
-  g.kw = c.kk;
+  g.kh = c.kh;
+  g.kw = c.kw;
   g.cout = c.cout;
   g.stride = c.stride;
   g.pad_h = c.pad_h;
   g.pad_w = c.pad_w;
-  g.oh = (c.h + 2 * c.pad_h - c.kk) / c.stride + 1;
-  g.ow = (c.w + 2 * c.pad_w - c.kk) / c.stride + 1;
+  g.oh = (c.h + 2 * c.pad_h - c.kh) / c.stride + 1;
+  g.ow = (c.w + 2 * c.pad_w - c.kw) / c.stride + 1;
   return g;
 }
 
 const ConvCase kConvCases[] = {
-    {2, 6, 7, 3, 3, 4, 1, 1, 1},   // stride-1 "same"
-    {2, 6, 7, 3, 3, 4, 1, 0, 0},   // stride-1 "valid"
-    {1, 7, 9, 2, 3, 3, 2, 1, 1},   // stride-2 padded
-    {2, 8, 8, 1, 3, 2, 2, 0, 0},   // stride-2 "valid"
-    {1, 1, 1, 1, 1, 1, 1, 0, 0},   // 1x1 degenerate
-    {3, 1, 11, 2, 1, 3, 2, 0, 1},  // 1-D geometry (h = kh = 1), padded strided
-    {2, 9, 9, 5, 3, 17, 2, 1, 1},  // cout just past NR=16, strided + padded
-    {1, 12, 12, 3, 3, 33, 2, 0, 0},  // cout crosses the 2*NR micro-tile, strided
-    {1, 8, 8, 4, 3, 129, 1, 1, 1},   // cout crosses the NC=128 panel boundary
+    {2, 6, 7, 3, 3, 3, 4, 1, 1, 1},   // stride-1 "same"
+    {2, 6, 7, 3, 3, 3, 4, 1, 0, 0},   // stride-1 "valid"
+    {1, 7, 9, 2, 3, 3, 3, 2, 1, 1},   // stride-2 padded
+    {2, 8, 8, 1, 3, 3, 2, 2, 0, 0},   // stride-2 "valid"
+    {1, 1, 1, 1, 1, 1, 1, 1, 0, 0},   // 1x1 degenerate
+    {3, 1, 11, 2, 1, 1, 3, 2, 0, 1},  // 1-D geometry (h = kh = 1), padded strided
+    {2, 9, 9, 5, 3, 3, 17, 2, 1, 1},  // cout just past NR=16, strided + padded
+    {1, 12, 12, 3, 3, 3, 33, 2, 0, 0},  // cout crosses the 2*NR micro-tile, strided
+    {1, 8, 8, 4, 3, 3, 129, 1, 1, 1},   // cout crosses the NC=128 panel boundary
+    {16, 8, 8, 3, 3, 3, 8, 1, 1, 1},    // CIFAR's first layer, "same"
+    {16, 1, 1, 8, 3, 3, 12, 1, 1, 1},   // 1x1 input, "same" 3x3: only the centre tap
+    {8, 1, 384, 1, 1, 7, 8, 1, 0, 0},   // NT3's Conv1D, "valid"
 };
 
 class ConvDifferential : public ::testing::TestWithParam<ConvCase> {};
@@ -353,6 +367,12 @@ TEST_P(ConvDifferential, BackwardMatchesNaive) {
     expect_equal(dx, dx_want, "conv_backward dx");
     expect_equal(dw, dw_want, "conv_backward dw");
     expect_equal(db, db_want, "conv_backward db");
+    // A first layer requests no input gradient: dw and db must not change.
+    std::vector<float> dw_only = dw0, db_only = db0;
+    k::conv_backward(x.data(), w.data(), dy.data(), /*dx=*/nullptr, dw_only.data(),
+                     db_only.data(), g);
+    expect_equal(dw_only, dw_want, "conv_backward(dx = null) dw");
+    expect_equal(db_only, db_want, "conv_backward(dx = null) db");
   }
 }
 

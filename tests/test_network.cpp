@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
+#include "nas/spaces_zoo.hpp"
 #include "nn/dense.hpp"
+#include "nn/loss.hpp"
 #include "nn/misc.hpp"
 
 namespace swt {
@@ -207,6 +210,66 @@ TEST_F(MultiTowerFixture, BackwardPopulatesAllTowerGrads) {
   for (const auto& p : net->params()) {
     if (p.name.ends_with("/d0/W") && p.grad != nullptr)
       EXPECT_GT(p.grad->sum_squares(), 0.0) << p.name;
+  }
+}
+
+// Network::backward skips the first layer's input gradient (its input is
+// data).  That may only remove work: on sampled CIFAR and NT3 architectures
+// (first layer Conv2D / Conv1D, then pooling, batch-norm, dense, dropout)
+// every parameter gradient must equal, byte for byte, that of a twin network
+// run through Sequential::backward_to_input, which computes every dL/d(input).
+TEST(Sequential, SkippedInputGradientLeavesParamGradsUnchanged) {
+  struct App {
+    const char* name;
+    SearchSpace space;
+    int classes;
+  };
+  const App apps[] = {{"cifar", make_cifar_space(8), 10}, {"nt3", make_nt3_space(384), 2}};
+  constexpr std::int64_t kBatch = 8;
+  Rng arch_rng(23);
+  for (const App& app : apps) {
+    std::vector<std::int64_t> dims{kBatch};
+    for (const std::int64_t d : app.space.input_shapes.front().dims()) dims.push_back(d);
+    for (int sample = 0; sample < 8; ++sample) {
+      const ArchSeq arch = app.space.random_arch(arch_rng);
+      NetworkPtr net = app.space.build(arch);
+      NetworkPtr twin = app.space.build(arch);
+      auto* twin_seq = dynamic_cast<Sequential*>(twin.get());
+      ASSERT_NE(twin_seq, nullptr) << app.name;
+      Rng init_a(100 + sample), init_b(100 + sample);
+      net->init(init_a);
+      twin->init(init_b);
+      Rng drop_a(200 + sample), drop_b(200 + sample);  // identical dropout masks
+      net->set_train_rng(&drop_a);
+      twin->set_train_rng(&drop_b);
+
+      Rng data_rng(300 + sample);
+      Tensor x{Shape(dims)};
+      x.randn(data_rng, 1.0f);
+      std::vector<int> labels(kBatch);
+      for (int& l : labels) l = static_cast<int>(data_rng.uniform_int(0, app.classes - 1));
+
+      const LossResult loss = softmax_cross_entropy(net->forward1(x, true), labels);
+      const LossResult twin_loss = softmax_cross_entropy(twin->forward1(x, true), labels);
+      ASSERT_EQ(0, std::memcmp(loss.grad.data(), twin_loss.grad.data(),
+                               static_cast<std::size_t>(loss.grad.numel()) * sizeof(float)))
+          << app.name << " sample " << sample << ": forward passes differ";
+      net->backward(loss.grad);
+      (void)twin_seq->backward_to_input(twin_loss.grad);
+
+      const std::vector<ParamRef> got = net->params();
+      const std::vector<ParamRef> want = twin->params();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        if (got[i].grad == nullptr) continue;
+        ASSERT_EQ(got[i].grad->numel(), want[i].grad->numel());
+        EXPECT_EQ(0, std::memcmp(got[i].grad->data(), want[i].grad->data(),
+                                 static_cast<std::size_t>(got[i].grad->numel()) *
+                                     sizeof(float)))
+            << app.name << " sample " << sample << " (" << app.space.describe(arch)
+            << "): gradient of " << got[i].name << " differs";
+      }
+    }
   }
 }
 

@@ -311,6 +311,28 @@ TEST(ThreadCounters, RecordPhaseFeedsProfMetrics) {
               1e-6);
 }
 
+// A metric the backend cannot measure is absent, never a zero: software-only
+// samples (the CPU-clock fallback) must not register the hardware series.
+TEST(ThreadCounters, SoftwareSamplesRegisterNoHardwareSeries) {
+  if (prof::ThreadCounters::this_thread().backend() != prof::CounterBackend::kThreadClock)
+    GTEST_SKIP() << "perf_event counters are live: hardware samples register these "
+                    "series legitimately";
+  set_metrics_enabled(true);
+  prof::CounterSample delta;
+  delta.cpu_seconds = 0.1;
+  prof::record_phase(prof::Phase::kGemm, 0.1, 1000, delta);
+  prof::record_phase(prof::Phase::kConv, 0.1, 1000, delta);
+  const MetricsSnapshot snap = metrics().snapshot();
+  EXPECT_TRUE(snap.counters.contains("prof.gemm.calls_total"));
+  EXPECT_TRUE(snap.counters.contains("prof.conv.calls_total"));
+  for (const char* phase : {"gemm", "conv"}) {
+    const std::string prefix = std::string("prof.") + phase;
+    for (const char* counter : {".cycles_total", ".instructions_total", ".cache_misses_total"})
+      EXPECT_FALSE(snap.counters.contains(prefix + counter)) << prefix + counter;
+    EXPECT_FALSE(snap.gauges.contains(prefix + ".ipc")) << prefix + ".ipc";
+  }
+}
+
 // ------------------------------------------------------------ critical path
 
 /// Hand-built DAG: two workers, a transfer chain A -> C across workers with
