@@ -103,19 +103,28 @@ Checkpoint deserialize(const std::vector<std::byte>& bytes) {
   const auto compression = static_cast<CompressionKind>(compression_raw);
   Checkpoint ckpt;
   ckpt.score = r.f64();
-  const std::uint64_t arch_len = r.u64();
+  const std::uint64_t arch_len = r.count(sizeof(std::uint32_t));
   ckpt.arch.reserve(arch_len);
   for (std::uint64_t i = 0; i < arch_len; ++i) ckpt.arch.push_back(static_cast<int>(r.u32()));
-  const std::uint64_t n_tensors = r.u64();
+  // Each tensor takes at least its name length and rank fields.
+  const std::uint64_t n_tensors = r.count(2 * sizeof(std::uint64_t));
   ckpt.tensors.reserve(n_tensors);
   for (std::uint64_t i = 0; i < n_tensors; ++i) {
     NamedTensor nt;
     nt.name = r.str();
-    const std::uint64_t rank = r.u64();
-    std::vector<std::int64_t> dims(rank);
-    for (auto& d : dims) d = static_cast<std::int64_t>(r.u64());
+    std::vector<std::int64_t> dims(r.count(sizeof(std::uint64_t)));
+    std::uint64_t count = 1;
+    for (auto& d : dims) {
+      // Every value takes at least one payload byte, so neither a dim nor
+      // the running element count may exceed the bytes left.  That also
+      // keeps every dim non-negative and numel() from overflowing.
+      const std::uint64_t dim = r.u64();
+      if (dim > r.remaining() || (dim != 0 && count > r.remaining() / dim))
+        throw std::runtime_error("checkpoint: tensor shape exceeds stream");
+      count *= dim;
+      d = static_cast<std::int64_t>(dim);
+    }
     Shape shape(std::move(dims));
-    const auto count = static_cast<std::size_t>(shape.numel());
     std::vector<std::byte> payload(encoded_size(compression, count));
     r.raw(payload.data(), payload.size());
     nt.value = Tensor(std::move(shape), decode_values(payload, count, compression));

@@ -53,7 +53,7 @@ struct Checkpoint {
                                           CompressionKind compression = CompressionKind::kNone);
 
 /// Decode; throws std::runtime_error on truncation, bad magic, version
-/// mismatch or CRC failure.
+/// mismatch, CRC failure or a length or count the stream cannot hold.
 [[nodiscard]] Checkpoint deserialize(const std::vector<std::byte>& bytes);
 
 }  // namespace swt

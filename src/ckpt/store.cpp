@@ -1,9 +1,7 @@
 #include "ckpt/store.hpp"
 
-#include <fstream>
 #include <stdexcept>
 
-#include "common/fsio.hpp"
 #include "obs/events.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -42,43 +40,24 @@ void record_io(const char* op, const std::string& key, const IoStats& stats) {
 CheckpointStore::CheckpointStore(Backend backend, std::filesystem::path dir,
                                  PfsCostModel model, CompressionKind compression,
                                  BankConfig bank)
-    : backend_(backend), dir_(std::move(dir)), model_(model), compression_(compression) {
-  if (bank.enabled) {
-    // The bank owns the directory layout (chunks/ + manifests/ under dir_)
-    // and all synchronisation for the banked path; the flat members below
-    // stay unused except for the cumulative traffic meters.
-    bank_ = std::make_unique<WeightBank>(
-        backend_ == Backend::kMemory ? WeightBank::Backend::kMemory
-                                     : WeightBank::Backend::kDisk,
-        dir_, compression_, bank.byte_budget);
-    return;
-  }
-  if (backend_ == Backend::kDisk) {
-    if (dir_.empty()) throw std::invalid_argument("CheckpointStore: disk backend needs a dir");
-    std::filesystem::create_directories(dir_);
-    // Reopening an existing directory (crash recovery): adopt every blob
-    // already on disk and clear staging debris from writers that died
-    // mid-put.  Thanks to the tmp+rename write protocol a present ".swtc"
-    // file is always a complete rename target; whether its *content* is
-    // intact is still verified by the CRC trailer at read time.
-    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-      if (!entry.is_regular_file()) continue;
-      const std::filesystem::path& p = entry.path();
-      if (p.extension() == ".tmp") {
-        std::error_code ec;
-        std::filesystem::remove(p, ec);
-      } else if (p.extension() == ".swtc") {
-        disk_sizes_[p.stem().string()] = static_cast<std::size_t>(entry.file_size());
-      }
-    }
-  }
-}
-
-std::filesystem::path CheckpointStore::path_for(const std::string& key) const {
-  return dir_ / (key + ".swtc");
+    : model_(model),
+      compression_(compression),
+      blobs_(backend == Backend::kDisk && !bank.enabled ? dir : std::filesystem::path{},
+             ".swtc") {
+  if (backend == Backend::kDisk && dir.empty())
+    throw std::invalid_argument("CheckpointStore: disk backend needs a dir");
+  // The bank owns the directory layout (chunks/ + manifests/ under dir) and
+  // all synchronisation for the banked path; the flat members stay unused
+  // except for the cumulative traffic meters.
+  if (bank.enabled)
+    bank_ = std::make_unique<WeightBank>(backend == Backend::kMemory
+                                             ? WeightBank::Backend::kMemory
+                                             : WeightBank::Backend::kDisk,
+                                         std::move(dir), compression_, bank.byte_budget);
 }
 
 IoStats CheckpointStore::put(const std::string& key, const Checkpoint& ckpt) {
+  IoStats stats;
   if (bank_) {
     // Only first-seen chunk bytes plus the manifest travel to the PFS; a
     // put whose tensors all dedupe against resident chunks is priced at
@@ -86,149 +65,84 @@ IoStats CheckpointStore::put(const std::string& key, const Checkpoint& ckpt) {
     // which evals training concurrently never share (distinct RNG streams
     // + training), so the charge is order-independent and the trace stays
     // bit-reproducible across thread counts.
-    const BankPutStats put_stats = bank_->put(key, ckpt);
-    IoStats stats{put_stats.bytes_moved(), model_.write_cost(put_stats.bytes_moved())};
-    record_io("write", key, stats);
+    stats.bytes = bank_->put(key, ckpt).bytes_moved();
+  } else {
+    std::vector<std::byte> bytes = serialize(ckpt, compression_);
+    stats.bytes = bytes.size();
+    // On disk the blob is durable before put() returns — the ordering the
+    // run journal relies on (a journaled attempt implies its checkpoint
+    // survived).
     std::scoped_lock lock(mutex_);
-    sizes_.push_back(stats.bytes);
-    total_written_ += stats.bytes;
-    return stats;
+    blobs_.put(key, std::move(bytes));
   }
-  std::vector<std::byte> bytes = serialize(ckpt, compression_);
-  IoStats stats{bytes.size(), model_.write_cost(bytes.size())};
+  stats.cost_seconds = model_.write_cost(stats.bytes);
   record_io("write", key, stats);
   std::scoped_lock lock(mutex_);
-  sizes_.push_back(bytes.size());
-  total_written_ += bytes.size();
-  if (backend_ == Backend::kMemory) {
-    memory_[key] = std::move(bytes);
-  } else {
-    // Staged through a tmp sibling and renamed into place: readers (and any
-    // process that dies mid-put, or two puts racing on the same key) see
-    // either the complete old blob or the complete new blob, never a torn
-    // file.  The fsync pair makes the blob durable before put() returns —
-    // the ordering the run journal relies on (a journaled attempt implies
-    // its checkpoint survived).
-    fsio::atomic_write_file(path_for(key), bytes.data(), bytes.size());
-    disk_sizes_[key] = bytes.size();
-  }
+  sizes_.push_back(stats.bytes);
+  total_written_ += stats.bytes;
   return stats;
 }
 
 bool CheckpointStore::remove(const std::string& key) {
   if (bank_) return bank_->remove(key);
   std::scoped_lock lock(mutex_);
-  if (backend_ == Backend::kMemory) return memory_.erase(key) > 0;
-  const bool known = disk_sizes_.erase(key) > 0;
-  std::error_code ec;
-  const bool removed = std::filesystem::remove(path_for(key), ec);
-  // A leftover ".tmp" sibling (writer killed between staging and rename)
-  // must not survive the key it belongs to.
-  std::filesystem::remove(fsio::tmp_sibling(path_for(key)), ec);
-  return known || removed;
-}
-
-std::optional<std::vector<std::byte>> CheckpointStore::read_bytes(
-    const std::string& key) const {
-  std::scoped_lock lock(mutex_);
-  if (backend_ == Backend::kMemory) {
-    auto it = memory_.find(key);
-    if (it == memory_.end()) return std::nullopt;
-    return it->second;
-  }
-  auto it = disk_sizes_.find(key);
-  if (it == disk_sizes_.end()) return std::nullopt;
-  std::ifstream in(path_for(key), std::ios::binary);
-  if (!in) throw std::runtime_error("CheckpointStore: cannot open " + key + " for read");
-  std::vector<std::byte> bytes(it->second);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  if (static_cast<std::size_t>(in.gcount()) != bytes.size())
-    throw std::runtime_error("CheckpointStore: short read for " + key);
-  return bytes;
+  return blobs_.remove(key);
 }
 
 std::pair<Checkpoint, IoStats> CheckpointStore::get(const std::string& key) const {
-  if (bank_) {
-    std::size_t manifest_bytes = 0;
-    std::optional<Checkpoint> ckpt = bank_->try_get(key, &manifest_bytes);
-    if (!ckpt.has_value()) {
-      if (!bank_->contains(key))
-        throw std::out_of_range("CheckpointStore: unknown key " + key);
-      throw std::runtime_error("CheckpointStore: unreadable banked checkpoint " + key);
-    }
-    // A provider lookup is a cache hit: the chunks it needs were resident
-    // since the provider's own put, so only the manifest crosses the PFS.
-    IoStats stats{manifest_bytes, model_.read_cost(manifest_bytes)};
-    record_io("read", key, stats);
-    return {*std::move(ckpt), stats};
-  }
-  std::optional<std::vector<std::byte>> bytes = read_bytes(key);
-  if (!bytes.has_value())
-    throw std::out_of_range("CheckpointStore: unknown key " + key);
-  IoStats stats{bytes->size(), model_.read_cost(bytes->size())};
-  record_io("read", key, stats);
-  return {deserialize(*bytes), stats};
+  if (auto hit = try_get(key)) return *std::move(hit);
+  if (!contains(key)) throw std::out_of_range("CheckpointStore: unknown key " + key);
+  throw std::runtime_error("CheckpointStore: unreadable checkpoint " + key);
 }
 
 std::optional<std::pair<Checkpoint, IoStats>> CheckpointStore::try_get(
     const std::string& key) const {
-  if (bank_) {
-    std::size_t manifest_bytes = 0;
-    std::optional<Checkpoint> ckpt = bank_->try_get(key, &manifest_bytes);
-    if (!ckpt.has_value()) {
-      if (metrics_enabled()) metrics().counter("ckpt.read_miss_total").add();
-      return std::nullopt;  // unknown key, or evicted / corrupt chunk
+  std::optional<std::pair<Checkpoint, IoStats>> hit;
+  try {
+    if (bank_) {
+      // A provider lookup is a cache hit: the chunks it needs were resident
+      // since the provider's own put, so only the manifest crosses the PFS.
+      std::size_t manifest_bytes = 0;
+      if (std::optional<Checkpoint> ckpt = bank_->try_get(key, &manifest_bytes))
+        hit.emplace(*std::move(ckpt), IoStats{manifest_bytes, model_.read_cost(manifest_bytes)});
+    } else {
+      std::optional<std::vector<std::byte>> bytes;
+      {
+        std::scoped_lock lock(mutex_);
+        bytes = blobs_.get(key);
+      }
+      if (bytes.has_value())
+        hit.emplace(deserialize(*bytes), IoStats{bytes->size(), model_.read_cost(bytes->size())});
     }
-    IoStats stats{manifest_bytes, model_.read_cost(manifest_bytes)};
-    record_io("read", key, stats);
-    return std::make_pair(*std::move(ckpt), stats);
-  }
-  std::optional<std::vector<std::byte>> bytes;
-  try {
-    bytes = read_bytes(key);
   } catch (const std::exception&) {
-    if (metrics_enabled()) metrics().counter("ckpt.read_miss_total").add();
-    return std::nullopt;  // unreadable backing file
+    // Unreadable backing file, or a truncated or CRC-corrupt payload.
   }
-  if (!bytes.has_value()) {
+  if (!hit.has_value()) {
     if (metrics_enabled()) metrics().counter("ckpt.read_miss_total").add();
-    return std::nullopt;
+    return std::nullopt;  // unknown key, unreadable blob, or evicted / corrupt chunk
   }
-  try {
-    IoStats stats{bytes->size(), model_.read_cost(bytes->size())};
-    auto result = std::make_pair(deserialize(*bytes), stats);
-    record_io("read", key, stats);
-    return result;
-  } catch (const std::exception&) {
-    if (metrics_enabled()) metrics().counter("ckpt.read_miss_total").add();
-    return std::nullopt;  // truncated or CRC-corrupt payload
-  }
+  record_io("read", key, hit->second);
+  return hit;
 }
 
 bool CheckpointStore::contains(const std::string& key) const {
   if (bank_) return bank_->contains(key);
   std::scoped_lock lock(mutex_);
-  return backend_ == Backend::kMemory ? memory_.contains(key) : disk_sizes_.contains(key);
+  return blobs_.sizes().contains(key);
 }
 
 std::optional<std::size_t> CheckpointStore::blob_size(const std::string& key) const {
   if (bank_) return std::nullopt;
   std::scoped_lock lock(mutex_);
-  if (backend_ == Backend::kMemory) {
-    const auto it = memory_.find(key);
-    if (it == memory_.end()) return std::nullopt;
-    return it->second.size();
-  }
-  const auto it = disk_sizes_.find(key);
-  if (it == disk_sizes_.end()) return std::nullopt;
+  const auto it = blobs_.sizes().find(key);
+  if (it == blobs_.sizes().end()) return std::nullopt;
   return it->second;
 }
 
 std::size_t CheckpointStore::count() const {
   if (bank_) return bank_->count();
   std::scoped_lock lock(mutex_);
-  return backend_ == Backend::kMemory ? memory_.size() : disk_sizes_.size();
+  return blobs_.sizes().size();
 }
 
 std::size_t CheckpointStore::live_bytes() const {
@@ -238,11 +152,7 @@ std::size_t CheckpointStore::live_bytes() const {
   }
   std::scoped_lock lock(mutex_);
   std::size_t total = 0;
-  if (backend_ == Backend::kMemory) {
-    for (const auto& [key, bytes] : memory_) total += bytes.size();
-  } else {
-    for (const auto& [key, size] : disk_sizes_) total += size;
-  }
+  for (const auto& [key, size] : blobs_.sizes()) total += size;
   return total;
 }
 

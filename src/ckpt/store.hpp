@@ -7,11 +7,15 @@
 // caller (and accumulated), so the virtual cluster can charge checkpoint I/O
 // to its event clock — which is exactly the overhead Fig. 10/11 studies —
 // without the wall-clock noise of a real shared file system.
+//
+// Two layouts sit behind the one API.  The flat layout keeps one SWTC blob
+// per key in a BlobDir (blob_dir.hpp; `<dir>/<key>.swtc` on disk) and
+// prices every access at blob size.  The banked layout (weight_bank.hpp)
+// keeps its chunks and manifests in two BlobDirs of its own.
 #pragma once
 
 #include <cstddef>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -19,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "ckpt/blob_dir.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/weight_bank.hpp"
 
@@ -113,22 +118,15 @@ class CheckpointStore {
   [[nodiscard]] const WeightBank* bank() const noexcept { return bank_.get(); }
 
  private:
-  [[nodiscard]] std::filesystem::path path_for(const std::string& key) const;
-  /// Fetch the serialized payload under one lock; empty for unknown keys,
-  /// throws std::runtime_error when the backing file cannot be read.
-  [[nodiscard]] std::optional<std::vector<std::byte>> read_bytes(
-      const std::string& key) const;
-
-  Backend backend_;
-  std::filesystem::path dir_;
   PfsCostModel model_;
   CompressionKind compression_;
   /// Non-null iff BankConfig::enabled; the bank is internally synchronised,
   /// so const store methods can route reads through it.
   std::unique_ptr<WeightBank> bank_;
   mutable std::mutex mutex_;
-  std::map<std::string, std::vector<std::byte>> memory_;
-  std::map<std::string, std::size_t> disk_sizes_;
+  /// The flat layout's SWTC blobs, guarded by mutex_ (an unused in-memory
+  /// BlobDir when banked).
+  BlobDir blobs_;
   std::vector<std::size_t> sizes_;
   std::size_t total_written_ = 0;
 };

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "ckpt/wire.hpp"
-#include "common/fsio.hpp"
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
 
@@ -81,6 +80,15 @@ struct HashLane {
   return decode_values(payload, count, kind);
 }
 
+/// Where one of the bank's two blob planes lives: in memory, or `dir`/`plane`.
+[[nodiscard]] std::filesystem::path plane_dir(WeightBank::Backend backend,
+                                              const std::filesystem::path& dir,
+                                              const char* plane) {
+  if (backend == WeightBank::Backend::kMemory) return {};
+  if (dir.empty()) throw std::invalid_argument("WeightBank: disk backend needs a dir");
+  return dir / plane;
+}
+
 }  // namespace
 
 std::string ChunkId::hex() const {
@@ -126,76 +134,49 @@ ChunkId chunk_id(const Tensor& value) {
 
 WeightBank::WeightBank(Backend backend, std::filesystem::path dir,
                        CompressionKind compression, std::size_t byte_budget)
-    : backend_(backend),
-      dir_(std::move(dir)),
-      compression_(compression),
-      byte_budget_(byte_budget) {
-  if (backend_ != Backend::kDisk) return;
-  if (dir_.empty()) throw std::invalid_argument("WeightBank: disk backend needs a dir");
-  const std::filesystem::path chunks_dir = dir_ / "chunks";
-  const std::filesystem::path manifests_dir = dir_ / "manifests";
-  std::filesystem::create_directories(chunks_dir);
-  std::filesystem::create_directories(manifests_dir);
-
+    : compression_(compression),
+      byte_budget_(byte_budget),
+      chunk_blobs_(plane_dir(backend, dir, "chunks"), ".chk"),
+      manifest_blobs_(plane_dir(backend, dir, "manifests"), ".swtm") {
   // Reopen (crash recovery).  Order matters: manifests are the roots, so
   // they are adopted first and chunk refcounts rebuilt from them; only then
   // can a chunk file be classified as live or orphan.  A writer killed
   // between its chunk writes and its manifest write leaves exactly the
   // orphan case — the chunks are garbage-collected and the put never
   // happened, which is the same contract the flat store's tmp+rename gives.
-  for (const auto& entry : std::filesystem::directory_iterator(manifests_dir)) {
-    if (!entry.is_regular_file()) continue;
-    const std::filesystem::path& p = entry.path();
-    if (p.extension() == ".tmp") {
-      std::error_code ec;
-      std::filesystem::remove(p, ec);
-      continue;
-    }
-    if (p.extension() != ".swtm") continue;
+  // Both loops walk copies of the adopted names because they drop entries.
+  for (const auto& [key, size] : std::map(manifest_blobs_.sizes())) {
     Manifest m;
     try {
-      m = decode_manifest(fsio::read_file(p));
+      m = decode_manifest(manifest_blobs_.get(key).value());
     } catch (const std::exception& e) {
-      log_warn("weight bank: dropping corrupt manifest ", p.string(), ": ", e.what());
-      std::error_code ec;
-      std::filesystem::remove(p, ec);
+      log_warn("weight bank: dropping corrupt manifest ", key, ": ", e.what());
+      manifest_blobs_.remove(key);
       continue;
     }
-    m.serialized_bytes = static_cast<std::size_t>(entry.file_size());
-    manifest_bytes_total_ += m.serialized_bytes;
     for (const TensorRef& ref : m.tensors) {
       Chunk& c = chunks_[ref.id];
       ++c.refs;
       c.resident = false;  // confirmed below if the file exists
     }
-    manifests_[p.stem().string()] = std::move(m);
+    manifests_[key] = std::move(m);
   }
-  for (const auto& entry : std::filesystem::directory_iterator(chunks_dir)) {
-    if (!entry.is_regular_file()) continue;
-    const std::filesystem::path& p = entry.path();
-    if (p.extension() == ".tmp") {
-      std::error_code ec;
-      std::filesystem::remove(p, ec);
-      continue;
-    }
-    if (p.extension() != ".chk") continue;
-    const std::string stem = p.stem().string();
+  for (const auto& [name, size] : std::map(chunk_blobs_.sizes())) {
     ChunkId id{};
-    if (stem.size() == 32) {
-      id.hi = std::strtoull(stem.substr(0, 16).c_str(), nullptr, 16);
-      id.lo = std::strtoull(stem.substr(16).c_str(), nullptr, 16);
+    if (name.size() == 32) {
+      id.hi = std::strtoull(name.substr(0, 16).c_str(), nullptr, 16);
+      id.lo = std::strtoull(name.substr(16).c_str(), nullptr, 16);
     }
     auto it = chunks_.find(id);
-    if (it == chunks_.end()) {
+    if (it == chunks_.end() || id.hex() != name) {
       // Orphan: no surviving manifest references this content.
-      std::error_code ec;
-      std::filesystem::remove(p, ec);
+      chunk_blobs_.remove(name);
       continue;
     }
     it->second.resident = true;
-    it->second.encoded_bytes = static_cast<std::size_t>(entry.file_size());
+    it->second.encoded_bytes = size;
     it->second.last_used = ++tick_;
-    resident_bytes_ += it->second.encoded_bytes;
+    resident_bytes_ += size;
   }
   // Seed the traffic meters so dedup_ratio() stays meaningful across a
   // reopen: every adopted resident chunk was written once, and every
@@ -206,14 +187,6 @@ WeightBank::WeightBank(Backend backend, std::filesystem::path dir,
       logical_written_ += c.encoded_bytes * c.refs;
     }
   evict_to_budget_locked();
-}
-
-std::filesystem::path WeightBank::chunk_path(const ChunkId& id) const {
-  return dir_ / "chunks" / (id.hex() + ".chk");
-}
-
-std::filesystem::path WeightBank::manifest_path(const std::string& key) const {
-  return dir_ / "manifests" / (key + ".swtm");
 }
 
 std::vector<std::byte> WeightBank::encode_manifest(const Manifest& m) const {
@@ -251,23 +224,23 @@ WeightBank::Manifest WeightBank::decode_manifest(const std::vector<std::byte>& b
     throw std::runtime_error("weight bank: manifest version mismatch");
   r.u8();  // compression kind at write time; each chunk frame carries its own
   Manifest m;
-  const std::uint64_t arch_n = r.u64();
+  const std::uint64_t arch_n = r.count(sizeof(std::int64_t));
   m.arch.reserve(arch_n);
   for (std::uint64_t i = 0; i < arch_n; ++i) m.arch.push_back(static_cast<int>(r.i64()));
   m.score = r.f64();
-  const std::uint64_t tensor_n = r.u64();
+  // Each tensor takes at least its name length, rank and two hash words.
+  const std::uint64_t tensor_n = r.count(4 * sizeof(std::uint64_t));
   m.tensors.reserve(tensor_n);
   for (std::uint64_t i = 0; i < tensor_n; ++i) {
     TensorRef ref;
     ref.name = r.str();
-    const std::uint64_t rank = r.u64();
+    const std::uint64_t rank = r.count(sizeof(std::int64_t));
     ref.dims.reserve(rank);
     for (std::uint64_t d = 0; d < rank; ++d) ref.dims.push_back(r.i64());
     ref.id.hi = r.u64();
     ref.id.lo = r.u64();
     m.tensors.push_back(std::move(ref));
   }
-  m.serialized_bytes = bytes.size();
   return m;
 }
 
@@ -293,10 +266,7 @@ BankPutStats WeightBank::put(const std::string& key, const Checkpoint& ckpt) {
       resident_bytes_ += c.encoded_bytes;
       stats.new_chunk_bytes += c.encoded_bytes;
       unique_written_ += c.encoded_bytes;
-      if (backend_ == Backend::kDisk)
-        fsio::atomic_write_file(chunk_path(ref.id), frame.data(), frame.size());
-      else
-        c.encoded = std::move(frame);
+      chunk_blobs_.put(ref.id.hex(), std::move(frame));
     } else {
       ++stats.deduped_chunks;
     }
@@ -309,24 +279,15 @@ BankPutStats WeightBank::put(const std::string& key, const Checkpoint& ckpt) {
 
   // Phase 2: root the chunks with the manifest (atomic replace on disk).
   std::vector<std::byte> manifest_bytes = encode_manifest(m);
-  m.serialized_bytes = manifest_bytes.size();
-  stats.manifest_bytes = m.serialized_bytes;
-  if (backend_ == Backend::kDisk)
-    fsio::atomic_write_file(manifest_path(key), manifest_bytes.data(),
-                            manifest_bytes.size());
+  stats.manifest_bytes = manifest_bytes.size();
+  manifest_blobs_.put(key, std::move(manifest_bytes));
 
   // Phase 3: swap in the new manifest.  New references were added first, so
   // an overwrite sharing chunks with its predecessor can never drop them to
-  // zero refs in between.
-  auto it = manifests_.find(key);
-  if (it != manifests_.end()) {
-    manifest_bytes_total_ -= it->second.serialized_bytes;
-    release_manifest_locked(it->second);
-    it->second = std::move(m);
-  } else {
-    manifests_.emplace(key, std::move(m));
-  }
-  manifest_bytes_total_ += stats.manifest_bytes;
+  // zero refs in between.  A new key releases an empty manifest.
+  Manifest& slot = manifests_[key];
+  release_manifest_locked(slot);
+  slot = std::move(m);
 
   if (metrics_enabled()) {
     MetricsRegistry& reg = metrics();
@@ -349,8 +310,7 @@ std::optional<std::vector<float>> WeightBank::load_chunk_locked(const TensorRef&
   std::size_t count = 1;
   for (std::int64_t d : ref.dims) count *= static_cast<std::size_t>(d);
   try {
-    if (backend_ == Backend::kMemory) return decode_chunk_frame(c.encoded, count);
-    return decode_chunk_frame(fsio::read_file(chunk_path(ref.id)), count);
+    return decode_chunk_frame(chunk_blobs_.get(ref.id.hex()).value(), count);
   } catch (const std::exception& e) {
     // Corrupt (or unreadable) chunk: de-materialise it so a future re-put of
     // the same content refetches a clean copy, and report a miss — the
@@ -361,12 +321,7 @@ std::optional<std::vector<float>> WeightBank::load_chunk_locked(const TensorRef&
     if (metrics_enabled()) metrics().counter("bank.corrupt_chunks_total").add();
     resident_bytes_ -= c.encoded_bytes;
     c.resident = false;
-    c.encoded.clear();
-    c.encoded.shrink_to_fit();
-    if (backend_ == Backend::kDisk) {
-      std::error_code ec;
-      std::filesystem::remove(chunk_path(ref.id), ec);
-    }
+    chunk_blobs_.remove(ref.id.hex());
     return std::nullopt;
   }
 }
@@ -377,7 +332,7 @@ std::optional<Checkpoint> WeightBank::try_get(const std::string& key,
   auto it = manifests_.find(key);
   if (it == manifests_.end()) return std::nullopt;
   const Manifest& m = it->second;
-  if (manifest_bytes != nullptr) *manifest_bytes = m.serialized_bytes;
+  if (manifest_bytes != nullptr) *manifest_bytes = manifest_blobs_.sizes().at(key);
   Checkpoint ckpt;
   ckpt.arch = m.arch;
   ckpt.score = m.score;
@@ -401,11 +356,7 @@ void WeightBank::release_manifest_locked(const Manifest& m) {
     if (it == chunks_.end()) continue;
     if (--it->second.refs == 0) {
       if (it->second.resident) resident_bytes_ -= it->second.encoded_bytes;
-      if (backend_ == Backend::kDisk) {
-        std::error_code ec;
-        std::filesystem::remove(chunk_path(ref.id), ec);
-        std::filesystem::remove(fsio::tmp_sibling(chunk_path(ref.id)), ec);
-      }
+      chunk_blobs_.remove(ref.id.hex());
       chunks_.erase(it);
     }
   }
@@ -415,14 +366,11 @@ bool WeightBank::remove(const std::string& key) {
   std::scoped_lock lock(mutex_);
   auto it = manifests_.find(key);
   if (it == manifests_.end()) return false;
-  manifest_bytes_total_ -= it->second.serialized_bytes;
+  // The root goes first: a kill before the chunks are released leaves
+  // orphans, which reopen collects, never a manifest naming lost chunks.
+  manifest_blobs_.remove(key);
   release_manifest_locked(it->second);
   manifests_.erase(it);
-  if (backend_ == Backend::kDisk) {
-    std::error_code ec;
-    std::filesystem::remove(manifest_path(key), ec);
-    std::filesystem::remove(fsio::tmp_sibling(manifest_path(key)), ec);
-  }
   return true;
 }
 
@@ -444,12 +392,7 @@ void WeightBank::evict_to_budget_locked() {
     evicted_bytes_ += c.encoded_bytes;
     if (metrics_enabled()) metrics().counter("bank.evicted_chunks_total").add();
     c.resident = false;  // the entry stays: refcounts must survive eviction
-    c.encoded.clear();
-    c.encoded.shrink_to_fit();
-    if (backend_ == Backend::kDisk) {
-      std::error_code ec;
-      std::filesystem::remove(chunk_path(victim->first), ec);
-    }
+    chunk_blobs_.remove(victim->first.hex());
   }
 }
 
@@ -477,7 +420,7 @@ BankStats WeightBank::stats() const {
   s.chunk_count = chunks_.size();
   s.resident_chunk_bytes = resident_bytes_;
   s.manifest_count = manifests_.size();
-  s.manifest_bytes = manifest_bytes_total_;
+  for (const auto& [key, size] : manifest_blobs_.sizes()) s.manifest_bytes += size;
   s.unique_bytes_written = unique_written_;
   s.logical_bytes_written = logical_written_;
   s.evicted_chunks = evicted_chunks_;

@@ -19,10 +19,11 @@
 // chunks a child needs were just written by its parent's evaluation and are
 // treated as cluster-cache hits (DESIGN.md "Weight bank").
 //
-// Durability mirrors the journal: every file is CRC-32-framed over the wire
-// codec and written via fsio::atomic_write_file (tmp + fsync + rename), and
-// a put() writes its chunks *before* its manifest — a process killed
-// mid-put leaves at worst orphan chunks, which reopen garbage-collects.
+// Each plane is a BlobDir (blob_dir.hpp), which keeps the bytes in memory or
+// as files.  Durability mirrors the journal: every blob is CRC-32-framed
+// over the wire codec, every file is written tmp + fsync + rename, and a
+// put() writes its chunks *before* its manifest — a process killed mid-put
+// leaves at worst orphan chunks, which reopen garbage-collects.
 // Eviction under a byte budget is LRU over resident chunk payloads; an
 // evicted or CRC-corrupt chunk turns the keys that reference it into read
 // misses (the caller falls back to random init, or re-puts the content,
@@ -39,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/blob_dir.hpp"
 #include "ckpt/checkpoint.hpp"
 
 namespace swt {
@@ -148,18 +150,14 @@ class WeightBank {
     std::vector<int> arch;
     double score = 0.0;
     std::vector<TensorRef> tensors;
-    std::size_t serialized_bytes = 0;
   };
   struct Chunk {
-    std::vector<std::byte> encoded;  ///< resident payload (memory backend)
-    std::size_t encoded_bytes = 0;   ///< size whether or not resident
-    std::uint64_t refs = 0;          ///< manifests referencing this content
-    std::uint64_t last_used = 0;     ///< LRU tick
-    bool resident = true;            ///< false once evicted / found corrupt
+    std::size_t encoded_bytes = 0;  ///< size whether or not resident
+    std::uint64_t refs = 0;         ///< manifests referencing this content
+    std::uint64_t last_used = 0;    ///< LRU tick
+    bool resident = true;           ///< in chunk_blobs_; false once evicted / found corrupt
   };
 
-  [[nodiscard]] std::filesystem::path chunk_path(const ChunkId& id) const;
-  [[nodiscard]] std::filesystem::path manifest_path(const std::string& key) const;
   [[nodiscard]] std::vector<std::byte> encode_manifest(const Manifest& m) const;
   /// CRC-checked decode; throws std::runtime_error on any mismatch.
   [[nodiscard]] static Manifest decode_manifest(const std::vector<std::byte>& bytes);
@@ -169,17 +167,16 @@ class WeightBank {
   /// (the corrupt entry is de-materialised so it can be re-put).
   [[nodiscard]] std::optional<std::vector<float>> load_chunk_locked(const TensorRef& ref);
 
-  Backend backend_;
-  std::filesystem::path dir_;
   CompressionKind compression_;
   std::size_t byte_budget_;
 
   mutable std::mutex mutex_;
+  BlobDir chunk_blobs_;     ///< "<32 hex>.chk" frames of resident chunks
+  BlobDir manifest_blobs_;  ///< "<key>.swtm" manifests
   std::map<std::string, Manifest> manifests_;
   std::map<ChunkId, Chunk> chunks_;
   std::uint64_t tick_ = 0;
   std::size_t resident_bytes_ = 0;
-  std::size_t manifest_bytes_total_ = 0;
   std::size_t unique_written_ = 0;
   std::size_t logical_written_ = 0;
   std::size_t evicted_chunks_ = 0;

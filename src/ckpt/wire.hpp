@@ -1,6 +1,7 @@
 // Little-endian wire primitives shared by the checkpoint codec and the
 // weight bank's chunk and manifest frames.  Writer appends into a byte
-// buffer; Reader consumes one with hard bounds checks (truncation throws).
+// buffer; Reader consumes one with hard bounds checks (truncation throws
+// std::runtime_error, and so does a count the remaining bytes cannot hold).
 #pragma once
 
 #include <cstdint>
@@ -67,6 +68,14 @@ class Reader {
     pos_ += n;
     return b;
   }
+  /// A u64 element count for elements of at least `min_bytes` each.  A
+  /// count the remaining bytes cannot hold throws here, before the caller
+  /// reserves or allocates for it.
+  std::uint64_t count(std::size_t min_bytes) {
+    const std::uint64_t n = u64();
+    if (n > remaining() / min_bytes) throw std::runtime_error("wire: count exceeds stream");
+    return n;
+  }
   [[nodiscard]] std::size_t remaining() const noexcept { return size_ - pos_; }
 
  private:
@@ -77,7 +86,8 @@ class Reader {
     return v;
   }
   void need(std::uint64_t n) const {
-    if (pos_ + n > size_) throw std::runtime_error("wire: truncated stream");
+    // `pos_ + n` could wrap for n near 2^64; `size_ - pos_` cannot.
+    if (n > size_ - pos_) throw std::runtime_error("wire: truncated stream");
   }
   const std::byte* data_;
   std::size_t size_;

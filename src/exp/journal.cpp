@@ -395,6 +395,14 @@ RunJournal::RunJournal(const std::filesystem::path& run_dir, bool sync_each_appe
   appender_ = std::make_unique<fsio::DurableAppender>(path_, sync_each_append);
 }
 
+std::set<std::string> RunJournal::completed_ckpt_keys() const {
+  std::set<std::string> keys;
+  for (const auto& [id_attempt, e] : entries_)
+    if ((e.rec.faults & kFaultCrash) == 0 && !e.rec.ckpt_key.empty())
+      keys.insert(e.rec.ckpt_key);
+  return keys;
+}
+
 const EvalRecord* RunJournal::lookup(long id, int attempt, const ArchSeq& arch,
                                      const Rng& strategy_rng) {
   const auto it = entries_.find({id, attempt});

@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -96,6 +97,11 @@ class RunJournal final : public EvalJournal {
   /// is about to journal its (n+1)-th fresh record, so the journal holds
   /// exactly `n` records more than it was opened with.  Negative = never.
   void set_crash_after(long n) noexcept { crash_after_ = n; }
+
+  /// Checkpoint keys of the journaled attempts that completed: the only
+  /// checkpoints of a previous process that a resumed search reads without
+  /// training their attempt again.
+  [[nodiscard]] std::set<std::string> completed_ckpt_keys() const;
 
   /// Records recovered from disk at open time.
   [[nodiscard]] std::size_t loaded() const noexcept { return loaded_; }

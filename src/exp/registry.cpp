@@ -82,9 +82,14 @@ std::string config_hash(std::string_view app_name, const NasRunConfig& cfg) {
   h = hash_double(h, f.ckpt_write_fault_rate);
   h = hash_double(h, f.ckpt_read_fault_rate);
   h = mix64(h, static_cast<std::uint64_t>(f.max_attempts));
-  // Bank and warm-start knobs fold in only when enabled: every pre-bank
-  // configuration keeps its historical hash, so committed CI baselines and
-  // resumable run directories stay valid.
+  // The recovery time, bank and warm-start knobs fold in only when they
+  // leave their defaults: every configuration that predates them keeps its
+  // historical hash, so committed CI baselines and resumable run directories
+  // stay valid.
+  if (f.worker_recovery_s != FaultConfig{}.worker_recovery_s) {
+    h = hash_str(h, "recovery");
+    h = hash_double(h, f.worker_recovery_s);
+  }
   if (cfg.bank) {
     h = hash_str(h, "bank");
     h = mix64(h, static_cast<std::uint64_t>(cfg.bank_budget_bytes));

@@ -1,6 +1,7 @@
 #include "exp/runner.hpp"
 
 #include <algorithm>
+#include <set>
 #include <unordered_set>
 
 #include "common/log.hpp"
@@ -113,6 +114,16 @@ NasRun run_nas(const AppConfig& app, const NasRunConfig& cfg) {
         cfg.compression, BankConfig{cfg.bank, cfg.bank_budget_bytes});
     journal = std::make_unique<RunJournal>(cfg.run_dir, cfg.journal_fsync);
     if (cfg.journal_crash_after >= 0) journal->set_crash_after(cfg.journal_crash_after);
+    if (cfg.resume && run.store->bank() != nullptr) {
+      // The journal roots the bank's manifests as manifests root chunks.
+      // An attempt the killed run checkpointed but never journaled trains
+      // again, and its re-put must not dedupe against the copy it left:
+      // that put would be priced at manifest cost and move the trace.  (A
+      // flat put is priced at blob size whatever the store holds.)
+      const std::set<std::string> rooted = journal->completed_ckpt_keys();
+      for (const std::string& key : run.store->bank()->keys())
+        if (!rooted.contains(key)) run.store->remove(key);
+    }
     if (cfg.resume && journal->loaded() > 0)
       log_info("journal: resuming ", cfg.run_dir.string(), " with ", journal->loaded(),
                " journaled attempts");

@@ -72,6 +72,8 @@ class Parser {
   }
 
  private:
+  static constexpr int kMaxDepth = 256;
+
   [[noreturn]] void fail(const std::string& why) const {
     throw std::runtime_error("parse_json: " + why + " at byte " + std::to_string(pos_));
   }
@@ -102,9 +104,17 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     const char c = peek();
+    if (c == '{' || c == '[') {
+      // Containers recurse, so hostile input could otherwise nest deep
+      // enough to overflow the stack.  The deepest document this codebase
+      // writes nests a handful of levels.  A throw abandons the parser, so
+      // the count needs no unwinding.
+      if (++depth_ > kMaxDepth) fail("nesting deeper than " + std::to_string(kMaxDepth));
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::kString;
@@ -235,6 +245,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< containers open around the current position
 };
 
 }  // namespace

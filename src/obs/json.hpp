@@ -49,7 +49,8 @@ class JsonValue {
 };
 
 /// Parse one JSON document; throws std::runtime_error on malformed input
-/// (with a byte offset in the message) or trailing garbage.
+/// (with a byte offset in the message), trailing garbage, or arrays and
+/// objects nested more than 256 deep.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
 }  // namespace swt

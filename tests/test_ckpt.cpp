@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 
 #include "ckpt/store.hpp"
@@ -59,6 +61,45 @@ TEST(Checkpoint, BadMagicIsDetected) {
   auto bytes = serialize(sample_checkpoint());
   bytes[0] = std::byte{0x00};
   EXPECT_THROW((void)deserialize(bytes), std::runtime_error);
+}
+
+// Overwrites the u64 at `offset` of sample_checkpoint()'s encoding with
+// `value` and recomputes the CRC trailer, so the decoder gets past the
+// checksum and has to judge the field itself.
+std::vector<std::byte> resealed_with(std::size_t offset, std::uint64_t value) {
+  auto bytes = serialize(sample_checkpoint());
+  std::memcpy(bytes.data() + offset, &value, sizeof value);
+  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
+  const std::uint32_t crc = crc32(bytes.data(), body);
+  std::memcpy(bytes.data() + body, &crc, sizeof crc);
+  return bytes;
+}
+
+TEST(Checkpoint, LengthsTheStreamCannotHoldThrowRuntimeError) {
+  // Layout: magic, version and codec (u32 each), score (f64), the arch
+  // length at 20 and three u32 choices, the tensor count at 40, then
+  // "d0/W": name length at 48, 4 name bytes, rank at 60, dims at 68 and 76.
+  // Each patched field would size an allocation before any read fails, so
+  // an unchecked decoder throws std::length_error or std::bad_alloc.
+  struct Field {
+    std::size_t offset;
+    std::uint64_t original;
+    std::uint64_t patched;
+  };
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 61;
+  const Field fields[] = {{20, 3, kHuge},                 // arch length
+                          {40, 2, kHuge},                 // tensor count
+                          {60, 2, kHuge},                 // rank
+                          {48, 4, ~std::uint64_t{0}},     // name length
+                          {68, 2, std::uint64_t{1} << 62}};  // first dim
+  const auto original = serialize(sample_checkpoint());
+  for (const Field& f : fields) {
+    std::uint64_t was = 0;
+    std::memcpy(&was, original.data() + f.offset, sizeof was);
+    ASSERT_EQ(was, f.original) << "layout moved at offset " << f.offset;
+    EXPECT_THROW((void)deserialize(resealed_with(f.offset, f.patched)), std::runtime_error)
+        << "offset " << f.offset;
+  }
 }
 
 TEST(Checkpoint, PayloadBytesCountsFloats) {
@@ -362,6 +403,46 @@ TEST(Store, BlobSizeIsTheSizeAGetIsPricedAt) {
                          BankConfig{.enabled = true});
   banked.put("k", sample_checkpoint());
   EXPECT_FALSE(banked.blob_size("k").has_value());
+  std::filesystem::remove_all(dir);
+}
+
+// BlobDir: the byte layer under both checkpoint layouts.
+
+TEST(BlobDir, MemoryAndDiskBehaveAlike) {
+  const auto dir = std::filesystem::temp_directory_path() / "swtnas_blob_dir";
+  std::filesystem::remove_all(dir);
+  BlobDir memory({}, ".blob");
+  BlobDir disk(dir, ".blob");
+  const std::vector<std::byte> bytes = {std::byte{1}, std::byte{2}, std::byte{3}};
+  for (BlobDir* blobs : {&memory, &disk}) {
+    EXPECT_FALSE(blobs->get("a").has_value());
+    blobs->put("a", bytes);
+    blobs->put("b", {std::byte{9}});
+    EXPECT_EQ(blobs->get("a"), bytes);
+    EXPECT_EQ(blobs->sizes(), (std::map<std::string, std::size_t>{{"a", 3}, {"b", 1}}));
+    EXPECT_TRUE(blobs->remove("b"));
+    EXPECT_FALSE(blobs->remove("b"));
+    EXPECT_FALSE(blobs->get("b").has_value());
+  }
+  EXPECT_TRUE(std::filesystem::exists(dir / "a.blob"));
+  EXPECT_FALSE(std::filesystem::exists(dir / "b.blob"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(BlobDir, ReopenAdoptsItsExtensionAndSweepsDebris) {
+  const auto dir = std::filesystem::temp_directory_path() / "swtnas_blob_dir_reopen";
+  std::filesystem::remove_all(dir);
+  const std::vector<std::byte> bytes = {std::byte{7}, std::byte{8}};
+  BlobDir(dir, ".blob").put("kept", bytes);
+  for (const char* name : {"torn.blob.tmp", "foreign.txt"}) {
+    std::ofstream out(dir / name, std::ios::binary);
+    out << "x";
+  }
+  BlobDir reopened(dir, ".blob");
+  EXPECT_EQ(reopened.sizes(), (std::map<std::string, std::size_t>{{"kept", 2}}));
+  EXPECT_EQ(reopened.get("kept"), bytes);
+  EXPECT_FALSE(std::filesystem::exists(dir / "torn.blob.tmp"));
+  EXPECT_TRUE(std::filesystem::exists(dir / "foreign.txt"));  // not its extension
   std::filesystem::remove_all(dir);
 }
 

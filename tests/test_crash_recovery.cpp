@@ -95,26 +95,35 @@ TEST_F(CrashRecoveryFixture, JournalingDoesNotChangeTheTrace) {
 }
 
 TEST_F(CrashRecoveryFixture, CrashAfterEvalsResumesByteIdentical) {
-  const NasRunConfig base = cfg();
-  const std::string reference = csv(run_nas(app_, base).trace);
+  // Flat and banked stores alike: resume reopens the flat blobs, or the
+  // bank's manifests and chunks, that the killed run left behind.  A child
+  // whose parent checkpoint was lost would fall back to random init and
+  // move the trace.
+  for (const bool bank : {false, true}) {
+    NasRunConfig base = cfg();
+    base.bank = bank;
+    const std::string reference = csv(run_nas(app_, base).trace);
 
-  // First, second, middle and last attempt — the ISSUE's required kill
-  // points for the deterministic in-process hook.
-  for (long crash_at : {0L, 1L, base.n_evals / 2, base.n_evals - 1}) {
-    NasRunConfig crash = base;
-    crash.run_dir = fresh_dir("crash_after_" + std::to_string(crash_at));
-    crash.journal_crash_after = crash_at;
-    EXPECT_EQ(run_in_child(app_, crash), RunJournal::kCrashExitCode)
-        << "crash_at=" << crash_at;
+    // First, second, middle and last attempt.
+    for (long crash_at : {0L, 1L, base.n_evals / 2, base.n_evals - 1}) {
+      const std::string where =
+          std::string(bank ? "bank" : "flat") + " crash_at=" + std::to_string(crash_at);
+      NasRunConfig crash = base;
+      crash.run_dir = fresh_dir(std::string(bank ? "bank_" : "flat_") + "crash_after_" +
+                                std::to_string(crash_at));
+      crash.journal_crash_after = crash_at;
+      EXPECT_EQ(run_in_child(app_, crash), RunJournal::kCrashExitCode) << where;
 
-    NasRunConfig res = base;
-    res.run_dir = crash.run_dir;
-    res.resume = true;
-    const NasRun resumed = run_nas(app_, res);
-    EXPECT_EQ(csv(resumed.trace), reference) << "crash_at=" << crash_at;
-    EXPECT_EQ(resumed.journal_replayed, static_cast<std::size_t>(crash_at));
-    EXPECT_EQ(resumed.journal_appended,
-              resumed.trace.records.size() - static_cast<std::size_t>(crash_at));
+      NasRunConfig res = base;
+      res.run_dir = crash.run_dir;
+      res.resume = true;
+      const NasRun resumed = run_nas(app_, res);
+      EXPECT_EQ(csv(resumed.trace), reference) << where;
+      EXPECT_EQ(resumed.journal_replayed, static_cast<std::size_t>(crash_at)) << where;
+      EXPECT_EQ(resumed.journal_appended,
+                resumed.trace.records.size() - static_cast<std::size_t>(crash_at))
+          << where;
+    }
   }
 }
 
@@ -273,6 +282,14 @@ TEST_F(CrashRecoveryFixture, ResumeRefusesConfigurationMismatch) {
   res.resume = true;
   res.n_evals += 4;  // behaviour-relevant knob changed -> different hash
   EXPECT_THROW((void)run_nas(app_, res), std::runtime_error);
+
+  // The worker recovery time moves every post-crash dispatch, so it is
+  // behaviour too, although the hash folds it in only off its default.
+  NasRunConfig recovery = cfg();
+  recovery.run_dir = jcfg.run_dir;
+  recovery.resume = true;
+  recovery.cluster.faults.worker_recovery_s = 5.0;
+  EXPECT_THROW((void)run_nas(app_, recovery), std::runtime_error);
 
   // Journal-only knobs are outside the hash: the same change that refuses
   // above must be accepted when it is merely operational.

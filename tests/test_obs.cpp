@@ -403,6 +403,10 @@ TEST(JsonParser, RejectsMalformedInput) {
   EXPECT_THROW(parse_json("[1,]"), std::runtime_error);
   EXPECT_THROW(parse_json("{} trailing"), std::runtime_error);
   EXPECT_THROW(parse_json("\"unterminated"), std::runtime_error);
+  // Deep nesting is refused before the recursion can exhaust the stack.
+  EXPECT_THROW(parse_json(std::string(100000, '[')), std::runtime_error);
+  EXPECT_NO_THROW(parse_json(std::string(256, '[') + std::string(256, ']')));
+  EXPECT_THROW(parse_json(std::string(257, '[') + std::string(257, ']')), std::runtime_error);
 }
 
 // -------------------------------------------------------------------- logger

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "ckpt/store.hpp"
+#include "common/fsio.hpp"
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
 #include "exp/trace_io.hpp"
@@ -295,6 +297,7 @@ TEST(WeightBank, CorruptManifestIsSkippedOnReopen) {
     WeightBank bank(WeightBank::Backend::kDisk, dir.path());
     bank.put("good", ckpt_with({{"l/W", tensor_of({4}, 1.0f)}}));
     bank.put("bad", ckpt_with({{"l/W", tensor_of({4}, 2.0f)}}));
+    bank.put("inflated", ckpt_with({{"l/W", tensor_of({4}, 3.0f)}}));
   }
   const auto bad = dir.path() / "manifests" / "bad.swtm";
   {
@@ -302,11 +305,26 @@ TEST(WeightBank, CorruptManifestIsSkippedOnReopen) {
     f.seekp(static_cast<std::streamoff>(fs::file_size(bad) / 2));
     f.put('\x5a');
   }
+  // An arch count of 2^61 behind a valid CRC: the decoder must refuse it
+  // against the bytes left instead of reserving for it.  The count is the
+  // u64 after the magic, version and codec bytes.
+  const auto inflated = dir.path() / "manifests" / "inflated.swtm";
+  {
+    std::vector<std::byte> bytes = fsio::read_file(inflated);
+    const std::uint64_t count = std::uint64_t{1} << 61;
+    std::memcpy(bytes.data() + 6, &count, sizeof count);
+    const std::size_t body = bytes.size() - sizeof(std::uint32_t);
+    const std::uint32_t crc = crc32(bytes.data(), body);
+    std::memcpy(bytes.data() + body, &crc, sizeof crc);
+    fsio::atomic_write_file(inflated, bytes.data(), bytes.size());
+  }
   WeightBank reopened(WeightBank::Backend::kDisk, dir.path());
   EXPECT_EQ(reopened.count(), 1u);
   EXPECT_TRUE(reopened.contains("good"));
   EXPECT_FALSE(reopened.contains("bad"));
-  EXPECT_FALSE(fs::exists(bad));  // corrupt manifest deleted, not adopted
+  EXPECT_FALSE(reopened.contains("inflated"));
+  EXPECT_FALSE(fs::exists(bad));  // corrupt manifests deleted, not adopted
+  EXPECT_FALSE(fs::exists(inflated));
 }
 
 // ---------------------------------------------------------------------------
