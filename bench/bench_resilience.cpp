@@ -98,7 +98,7 @@ void print_table() {
         for (std::size_t i = run.trace.records.size() / 2;
              i < run.trace.records.size(); ++i)
           late.add(run.trace.records[i].score);
-        crashed += run.trace.crashed_attempts;
+        crashed += static_cast<long>(run.trace.crashes.size());
         lost += run.trace.lost_evaluations;
         fallbacks += run.trace.transfer_fallbacks;
         completed += static_cast<long>(run.trace.records.size());

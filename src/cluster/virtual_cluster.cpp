@@ -37,12 +37,12 @@ double Trace::total_ckpt_overhead() const noexcept {
 
 namespace {
 
+/// A booked attempt's next event: its completion, or its crash when the
+/// record carries kFaultCrash.
 struct InFlight {
   double finish;
   EvalRecord record;
-  int worker;
-  bool crashed = false;  ///< event is a worker crash, not a completion
-  Proposal proposal;     ///< kept for resubmission of crashed attempts
+  Proposal proposal;  ///< kept for resubmission of crashed attempts
   /// Set when `record` is a plan whose training may still be running; the
   /// result is joined when this event pops.
   std::shared_future<EvalRecord> training;
@@ -83,6 +83,158 @@ EvalRecord resolve_plan(const EvalRecord& planned, EvalRecord trained) {
   return trained;
 }
 
+/// Every live view of a search: the event bus, the virtual-timeline spans,
+/// the quality telemetry and the scheduler metrics, fed once per scheduler
+/// transition.  The views read the schedule and never write it back, and
+/// each one costs a branch while its instrument is off.  Counters are bumped
+/// as the transitions happen, so a /metrics scrape mid-run sees real
+/// progress and the final totals equal one end-of-run count.
+class LiveViews {
+ public:
+  LiveViews(long n_evals, int num_workers) {
+    // One Perfetto track per worker on the virtual timeline.
+    if (tracer_.enabled()) {
+      tracer_.name_process(kTraceVirtualPid, "virtual cluster (virtual time)");
+      tracer_.name_process(kTraceWallPid, "process (wall time)");
+      for (int w = 0; w < num_workers; ++w)
+        tracer_.name_track(kTraceVirtualPid, w, "worker " + std::to_string(w));
+    }
+    if (bus_.enabled())
+      bus_.emit(EventType::kRunStarted, 0.0, -1, -1,
+                {{"n_evals", std::to_string(n_evals)},
+                 {"workers", std::to_string(num_workers)}});
+  }
+
+  /// An attempt handed to an idle worker; `fresh` when it is a new proposal
+  /// rather than the resubmission of a crashed attempt.
+  void dispatch(double clock, int worker, long id, int attempt, bool fresh) {
+    if (!bus_.enabled()) return;
+    if (fresh) bus_.emit(EventType::kEvalSubmitted, clock, -1, id);
+    bus_.emit(EventType::kEvalStarted, clock, worker, id,
+              {{"attempt", std::to_string(attempt)}});
+  }
+
+  /// An attempt booked to crash, `lost_seconds` of its compute destroyed.
+  /// Both blocks are known at booking; the events carry their virtual
+  /// timestamps, so the stream stays strictly append-only.
+  void booked_crash(const CrashRecord& crash, double lost_seconds) {
+    if (tracer_.enabled()) {
+      prof::emit_fault_span(tracer_, {crash.worker, crash.start, crash.crash_at},
+                            "crash (eval " + std::to_string(crash.id) + ")",
+                            {{"attempt", std::to_string(crash.attempt)}});
+      prof::emit_fault_span(tracer_, {crash.worker, crash.crash_at, crash.recovered_at},
+                            "recovery");
+    }
+    if (bus_.enabled()) {
+      bus_.emit(EventType::kWorkerCrashed, crash.crash_at, crash.worker, crash.id,
+                {{"attempt", std::to_string(crash.attempt)},
+                 {"lost_s", json_number(lost_seconds)}});
+      bus_.emit(EventType::kWorkerRecovered, crash.recovered_at, crash.worker);
+    }
+  }
+
+  void clock_advanced(double clock, std::size_t in_flight) {
+    if (tracer_.enabled())
+      tracer_.counter("in_flight", kTraceVirtualPid, clock * 1e6,
+                      static_cast<double>(in_flight));
+  }
+
+  /// A crashed attempt's event popped: resubmitted, or its evaluation lost.
+  void crash_resolved(long id, int attempt, bool resubmitted, double clock) {
+    if (metrics_) {
+      metrics().counter("cluster.crashes_total").add(1);
+      metrics()
+          .counter(resubmitted ? "cluster.resubmissions_total"
+                               : "cluster.lost_evaluations_total")
+          .add(1);
+    }
+    if (resubmitted && bus_.enabled())
+      bus_.emit(EventType::kResubmission, clock, -1, id,
+                {{"attempt", std::to_string(attempt + 1)}});
+  }
+
+  void completion(const EvalRecord& r) {
+    if (metrics_ && r.transfer_fallback)
+      metrics().counter("cluster.transfer_fallbacks_total").add(1);
+    if (tracer_.enabled())
+      prof::emit_eval_span(tracer_, eval_span(r), "eval " + std::to_string(r.id),
+                           {{"attempt", std::to_string(r.attempt)},
+                            {"score", json_number(r.score)}});
+    if (bus_.enabled()) {
+      bus_.emit(EventType::kEvalFinished, r.virtual_finish, r.worker, r.id,
+                {{"score", json_number(r.score)}, {"attempt", std::to_string(r.attempt)}});
+      if (r.tensors_transferred > 0)
+        bus_.emit(EventType::kTransferHit, r.virtual_finish, r.worker, r.id,
+                  {{"parent", std::to_string(r.parent_id)},
+                   {"tensors", std::to_string(r.tensors_transferred)},
+                   {"values", std::to_string(r.values_transferred)}});
+      if (r.transfer_fallback)
+        bus_.emit(EventType::kTransferFallback, r.virtual_finish, r.worker, r.id);
+    }
+    if (quality_on_ &&
+        quality_.observe(QualityObservation{r.id, r.parent_id, r.tensors_transferred > 0,
+                                            r.transfer_fallback, r.first_epoch_score,
+                                            r.score}))
+      bus_.emit(EventType::kBestScoreImproved, r.virtual_finish, r.worker, r.id,
+                {{"score", json_number(r.score)},
+                 {"evals_seen", std::to_string(quality_.evals_seen())}});
+    if (metrics_) metrics().counter("cluster.evals_completed_total").add(1);
+  }
+
+  /// The search.* gauges: a consistent live view for scrapers and the
+  /// sampler, the virtual clock included (nothing here reads it back).
+  void progress(double clock, long finished, long submitted, std::size_t in_flight) {
+    if (!metrics_) return;
+    MetricsRegistry& m = metrics();
+    m.gauge("search.virtual_time_seconds").set(clock);
+    m.gauge("search.evals_completed").set(static_cast<double>(finished));
+    m.gauge("search.evals_submitted").set(static_cast<double>(submitted));
+    m.gauge("search.evals_in_flight").set(static_cast<double>(in_flight));
+  }
+
+  void run_end(const Trace& trace) {
+    if (metrics_) {
+      // Worker-seconds from the trace: a record's envelope and a doomed
+      // attempt's work are busy, a recovery window is lost, the rest of
+      // workers x makespan is idle.
+      double busy = 0.0;
+      double recovery = 0.0;
+      for (const EvalRecord& r : trace.records) busy += r.virtual_finish - r.virtual_start;
+      for (const CrashRecord& c : trace.crashes) {
+        busy += c.crash_at - c.start;
+        recovery += c.recovered_at - c.crash_at;
+      }
+      MetricsRegistry& m = metrics();
+      m.gauge("cluster.worker_busy_seconds").add(busy);
+      m.gauge("cluster.worker_recovery_seconds").add(recovery);
+      m.gauge("cluster.worker_idle_seconds")
+          .add(std::max(0.0, trace.makespan * trace.num_workers - busy - recovery));
+    }
+    if (bus_.enabled())
+      bus_.emit(EventType::kRunFinished, trace.makespan, -1, -1,
+                {{"evals", std::to_string(trace.records.size())},
+                 {"crashes", std::to_string(trace.crashes.size())},
+                 {"resubmissions", std::to_string(trace.resubmissions)},
+                 {"lost", std::to_string(trace.lost_evaluations)},
+                 {"transfer_fallbacks", std::to_string(trace.transfer_fallbacks)},
+                 {"makespan", json_number(trace.makespan)},
+                 {"best_score", json_number(quality_.best_score())},
+                 {"transfer_hit_rate", json_number(quality_.transfer_hit_rate())},
+                 {"mean_lineage_depth", json_number(quality_.mean_lineage_depth())},
+                 {"kendall_tau_early_final", json_number(quality_.early_final_tau())}});
+  }
+
+ private:
+  SpanTracer& tracer_ = SpanTracer::global();
+  EventBus& bus_ = EventBus::global();
+  const bool metrics_ = metrics_enabled();
+  // Quality statistics cost O(completed evals) per completion (the
+  // incremental Kendall scan); skip them entirely when nothing consumes
+  // the result.
+  const bool quality_on_ = metrics_ || bus_.enabled();
+  QualityTelemetry quality_;
+};
+
 }  // namespace
 
 Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
@@ -97,29 +249,7 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
   Trace trace;
   trace.num_workers = cfg.num_workers;
   trace.records.reserve(static_cast<std::size_t>(n_evals));
-
-  // Observability: virtual-timeline spans (one Perfetto track per worker)
-  // plus scheduler-level metrics, lifecycle events on the bus and the online
-  // quality telemetry.  All of it is branch-only when the tracer, metrics
-  // and bus are off.
-  SpanTracer& tracer = SpanTracer::global();
-  if (tracer.enabled()) {
-    tracer.name_process(kTraceVirtualPid, "virtual cluster (virtual time)");
-    tracer.name_process(kTraceWallPid, "process (wall time)");
-    for (int w = 0; w < cfg.num_workers; ++w)
-      tracer.name_track(kTraceVirtualPid, w, "worker " + std::to_string(w));
-  }
-  EventBus& bus = EventBus::global();
-  bus.emit(EventType::kRunStarted, 0.0, -1, -1,
-           {{"n_evals", std::to_string(n_evals)},
-            {"workers", std::to_string(cfg.num_workers)}});
-  // Quality statistics cost O(completed evals) per completion (the
-  // incremental Kendall scan); skip them entirely when nothing consumes
-  // the result.
-  QualityTelemetry quality;
-  const bool quality_on = metrics_enabled() || bus.enabled();
-  double busy_seconds = 0.0;      // worker-seconds spent on attempts
-  double recovery_seconds = 0.0;  // worker-seconds lost to crash recovery
+  LiveViews views(n_evals, cfg.num_workers);
 
   std::vector<double> worker_free(static_cast<std::size_t>(cfg.num_workers), 0.0);
   std::priority_queue<InFlight, std::vector<InFlight>, std::greater<>> in_flight;
@@ -128,21 +258,6 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
   double clock = 0.0;
   long submitted = 0;  // fresh proposals issued (resubmissions reuse their id)
   long finished = 0;   // completed records + permanently lost evaluations
-
-  // Live progress telemetry.  Counters are bumped incrementally as events
-  // happen (so a /metrics scrape mid-run sees real progress, and the final
-  // totals equal what a single end-of-run add would have produced); the
-  // search.* gauges give scrapers and the sampler a consistent live view,
-  // including the virtual clock (which nothing here ever reads back).
-  const bool live_metrics = metrics_enabled();
-  const auto publish_progress = [&] {
-    if (!live_metrics) return;
-    MetricsRegistry& m = metrics();
-    m.gauge("search.virtual_time_seconds").set(clock);
-    m.gauge("search.evals_completed").set(static_cast<double>(finished));
-    m.gauge("search.evals_submitted").set(static_cast<double>(submitted));
-    m.gauge("search.evals_in_flight").set(static_cast<double>(in_flight.size()));
-  };
   // One-shot wall-clock stall (see FaultConfig::stall_after_evals): freezes
   // the scheduler thread in real time so the watchdog sees no progress, but
   // leaves the virtual timeline untouched.
@@ -172,11 +287,11 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
   // blocked on a join.
   long trainings_pending = 0;
   Histogram* const in_flight_hist =
-      live_metrics ? &metrics().histogram("cluster.trainings_in_flight",
-                                          {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64})
-                   : nullptr;
+      metrics_enabled() ? &metrics().histogram("cluster.trainings_in_flight",
+                                               {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64})
+                        : nullptr;
   Gauge* const join_wait =
-      live_metrics ? &metrics().gauge("cluster.join_wait_seconds") : nullptr;
+      metrics_enabled() ? &metrics().gauge("cluster.join_wait_seconds") : nullptr;
   const auto note_training = [&] {
     ++trainings_pending;
     if (in_flight_hist != nullptr)
@@ -207,13 +322,18 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
     return training;
   };
 
-  // Post-training bookkeeping for one dispatched evaluation: charge virtual
-  // time, model checkpoint costs, decide crashes, and enqueue the completion
-  // event.  Runs on the scheduler thread only, in dispatch order — so the
-  // virtual timeline, float accumulation order and heap contents are
-  // identical whether the training ran inline, on the pool, or is still
-  // running behind a planned record (`training` set).
+  // Book one dispatched attempt: charge it virtual time, model its
+  // checkpoint costs, decide whether it crashes, journal it when it trained
+  // in this process (`journal_state` is its selection-time strategy-RNG
+  // state; null for a journal hit), and enqueue its completion or crash
+  // event.  Booking assigns every field it owns, so a replayed journal row
+  // is re-booked from scratch.  Runs on the scheduler thread only, in
+  // dispatch order — so the virtual timeline, float accumulation order,
+  // heap contents and journal byte stream are identical whether the
+  // training ran inline, on the pool, or is still running behind a planned
+  // record (`training` set).
   const auto finish_dispatch = [&](int w, long id, EvalRecord rec, Proposal proposal,
+                                   const Rng::State* journal_state,
                                    std::shared_future<EvalRecord> training = {}) {
     // In fixed-duration mode (tests, CI baselines) the measured train and
     // transfer wall times are excluded from the virtual timeline *and*
@@ -230,6 +350,7 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
             : rec.train_seconds * cfg.time_scale + rec.transfer_seconds;
     const double straggle =
         faults != nullptr ? faults->straggler_factor(id, rec.attempt) : 1.0;
+    rec.faults &= ~(kFaultStraggler | kFaultCrash);
     if (straggle > 1.0) {
       rec.faults |= kFaultStraggler;
       compute_virtual *= straggle;
@@ -243,6 +364,7 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
             ? 0.0
             : (cfg.async_checkpointing ? cfg.async_enqueue_latency_s
                                        : rec.ckpt_write_cost);
+    rec.ckpt_read_wait = 0.0;
     if (rec.ckpt_read_cost > 0.0 && cfg.async_checkpointing) {
       const auto it = ckpt_available_at.find(rec.parent_id);
       if (it != ckpt_available_at.end() && it->second > clock)
@@ -252,6 +374,7 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
                             rec.ckpt_write_charged + rec.retry_seconds;
     rec.virtual_start = clock;
     rec.worker = w;
+    rec.ckpt_available_at = 0.0;
 
     // Crash exposure scales with the attempt's (straggler-stretched)
     // compute time.  A crashed attempt's result is discarded: nothing is
@@ -262,47 +385,30 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
                           : FaultModel::CrashDecision{};
     if (cd.crashed) {
       rec.faults |= kFaultCrash;
-      const double crash_at = clock + cd.work_fraction * duration;
-      const CrashRecord& crash = trace.crashes.emplace_back(CrashRecord{
-          id, rec.attempt, w, clock, crash_at, crash_at + cfg.faults.worker_recovery_s});
-      rec.virtual_finish = crash_at;
-      ++trace.crashed_attempts;
+      rec.virtual_finish = clock + cd.work_fraction * duration;
+      const CrashRecord& crash = trace.crashes.emplace_back(
+          CrashRecord{id, rec.attempt, w, clock, rec.virtual_finish,
+                      rec.virtual_finish + cfg.faults.worker_recovery_s});
       trace.lost_train_seconds += cd.work_fraction * compute_virtual;
-      busy_seconds += crash_at - clock;
-      recovery_seconds += cfg.faults.worker_recovery_s;
-      if (tracer.enabled()) {
-        prof::emit_fault_span(tracer, {w, crash.start, crash.crash_at},
-                              "crash (eval " + std::to_string(id) + ")",
-                              {{"attempt", std::to_string(rec.attempt)}});
-        prof::emit_fault_span(tracer, {w, crash.crash_at, crash.recovered_at}, "recovery");
-      }
-      if (bus.enabled()) {
-        bus.emit(EventType::kWorkerCrashed, crash_at, w, id,
-                 {{"attempt", std::to_string(rec.attempt)},
-                  {"lost_s", json_number(cd.work_fraction * compute_virtual)}});
-        // The recovery end is known now; emitted eagerly with its virtual
-        // timestamp, so the stream stays strictly append-only.
-        bus.emit(EventType::kWorkerRecovered, crash.recovered_at, w);
-      }
+      views.booked_crash(crash, cd.work_fraction * compute_virtual);
       worker_free[static_cast<std::size_t>(w)] = crash.recovered_at;
-      in_flight.push(InFlight{crash_at, std::move(rec), w, /*crashed=*/true,
-                              std::move(proposal), {}});
-      return;
+    } else {
+      rec.virtual_finish = clock + duration;
+      if (rec.ckpt_bytes > 0) {
+        // Sync: readable once the evaluation finishes.  Async: the drain
+        // starts at the end of the evaluation and takes the full write cost.
+        rec.ckpt_available_at = cfg.async_checkpointing
+                                    ? rec.virtual_finish + rec.ckpt_write_cost
+                                    : rec.virtual_finish;
+        ckpt_available_at.emplace(rec.id, rec.ckpt_available_at);
+      }
+      worker_free[static_cast<std::size_t>(w)] = rec.virtual_finish;
     }
-    busy_seconds += duration;
-
-    rec.virtual_finish = clock + duration;
-    if (rec.ckpt_bytes > 0) {
-      // Sync: readable once the evaluation finishes.  Async: the drain
-      // starts at the end of the evaluation and takes the full write cost.
-      rec.ckpt_available_at = cfg.async_checkpointing
-                                  ? rec.virtual_finish + rec.ckpt_write_cost
-                                  : rec.virtual_finish;
-      ckpt_available_at.emplace(rec.id, rec.ckpt_available_at);
-    }
-    worker_free[static_cast<std::size_t>(w)] = rec.virtual_finish;
-    in_flight.push(InFlight{rec.virtual_finish, std::move(rec), w,
-                            /*crashed=*/false, Proposal{}, std::move(training)});
+    if (cfg.journal != nullptr && journal_state != nullptr)
+      cfg.journal->append(rec, *journal_state);
+    in_flight.push(InFlight{rec.virtual_finish, std::move(rec),
+                            cd.crashed ? std::move(proposal) : Proposal{},
+                            std::move(training)});
   };
 
   // A dispatch joined before the clock next advances.  Journal hits carry
@@ -319,20 +425,6 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
   };
   std::vector<Deferred> deferred;
 
-  // Pair a selected attempt with the journal: a hit fills `rec` from a
-  // previous (killed) process and skips training entirely; a miss trains
-  // for real and durably journals the evaluator output.  Either way the
-  // scheduler bookkeeping downstream (finish_dispatch) is identical, which
-  // is what makes the resumed trace byte-identical.  Returns true on a hit.
-  const auto journal_fill = [&](long id, int attempt, const ArchSeq& arch,
-                                EvalRecord& rec) {
-    if (cfg.journal == nullptr) return false;
-    const EvalRecord* hit = cfg.journal->lookup(id, attempt, arch, rng);
-    if (hit == nullptr) return false;
-    rec = *hit;
-    return true;
-  };
-
   while (finished < n_evals) {
     // Hand work to every worker that is idle at the current virtual time —
     // resubmissions of crashed attempts first, then fresh proposals.  All
@@ -345,7 +437,8 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
       long id;
       Proposal proposal;
       int attempt = 0;
-      if (!resubmit.empty()) {
+      const bool fresh = resubmit.empty();
+      if (!fresh) {
         id = resubmit.front().id;
         proposal = std::move(resubmit.front().proposal);
         attempt = resubmit.front().attempt;
@@ -354,23 +447,27 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
         proposal = strategy.propose(rng);
         id = submitted;
         ++submitted;
-        bus.emit(EventType::kEvalSubmitted, clock, -1, id);
       }
-      if (bus.enabled())
-        bus.emit(EventType::kEvalStarted, clock, w, id,
-                 {{"attempt", std::to_string(attempt)}});
+      views.dispatch(clock, w, id, attempt, fresh);
+      // A journal hit is an attempt a previous (killed) process trained and
+      // booked: its row skips training and is booked again exactly as the
+      // first time, which is what makes the resumed trace byte-identical.
       const Rng::State sel_state = rng.state();
-      EvalRecord rec;
-      const bool journaled = journal_fill(id, attempt, proposal.arch, rec);
+      const EvalRecord* journaled =
+          cfg.journal != nullptr ? cfg.journal->lookup(id, attempt, proposal.arch, rng)
+                                 : nullptr;
       if (eval_pool == nullptr) {
         // Serial substrate: train inline, exactly the historical path.
-        if (!journaled) {
+        EvalRecord rec;
+        if (journaled != nullptr) {
+          rec = *journaled;
+        } else {
           note_training();
           rec = evaluator.evaluate(id, proposal, attempt, faults);
           --trainings_pending;
-          if (cfg.journal != nullptr) cfg.journal->append(rec, sel_state);
         }
-        finish_dispatch(w, id, std::move(rec), std::move(proposal));
+        finish_dispatch(w, id, std::move(rec), std::move(proposal),
+                        journaled != nullptr ? nullptr : &sel_state);
         continue;
       }
       // Booking a plan now keeps bookkeeping in dispatch order only while
@@ -379,24 +476,24 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
       if (plannable && deferred.empty()) planned = evaluator.plan(id, proposal, attempt);
       if (planned.has_value()) {
         std::shared_future<EvalRecord> training = start_training(id, proposal, attempt);
-        finish_dispatch(w, id, *std::move(planned), std::move(proposal),
+        finish_dispatch(w, id, *std::move(planned), std::move(proposal), nullptr,
                         std::move(training));
       } else {
         std::shared_future<EvalRecord> training;
-        if (!journaled) training = start_training(id, proposal, attempt);
-        deferred.push_back(Deferred{w, id, std::move(proposal), sel_state, std::move(rec),
+        if (journaled == nullptr) training = start_training(id, proposal, attempt);
+        deferred.push_back(Deferred{w, id, std::move(proposal), sel_state,
+                                    journaled != nullptr ? *journaled : EvalRecord{},
                                     std::move(training)});
       }
     }
-    // Join the deferred dispatches in dispatch order — the order the serial
+    // Book the deferred dispatches in dispatch order — the order the serial
     // path interleaves bookkeeping — so virtual timestamps, float sums, the
     // completion heap *and the journal byte stream* come out bit-identical.
     for (Deferred& d : deferred) {
-      if (d.training.valid()) {
-        d.record = join(d.training);
-        if (cfg.journal != nullptr) cfg.journal->append(d.record, d.sel_state);
-      }
-      finish_dispatch(d.worker, d.id, std::move(d.record), std::move(d.proposal));
+      const bool trained = d.training.valid();
+      if (trained) d.record = join(d.training);
+      finish_dispatch(d.worker, d.id, std::move(d.record), std::move(d.proposal),
+                      trained ? &d.sel_state : nullptr);
     }
     deferred.clear();
 
@@ -414,24 +511,19 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
     InFlight done = in_flight.top();
     in_flight.pop();
     clock = done.finish;
-    if (tracer.enabled())
-      tracer.counter("in_flight", kTraceVirtualPid, clock * 1e6,
-                     static_cast<double>(in_flight.size()));
-    if (done.crashed) {
-      if (live_metrics) metrics().counter("cluster.crashes_total").add(1);
-      if (done.record.attempt + 1 < max_attempts) {
+    views.clock_advanced(clock, in_flight.size());
+    if ((done.record.faults & kFaultCrash) != 0) {
+      const bool retry = done.record.attempt + 1 < max_attempts;
+      if (retry) {
         resubmit.push_back(
             Resubmit{done.record.id, std::move(done.proposal), done.record.attempt + 1});
         ++trace.resubmissions;
-        if (live_metrics) metrics().counter("cluster.resubmissions_total").add(1);
-        bus.emit(EventType::kResubmission, clock, -1, done.record.id,
-                 {{"attempt", std::to_string(done.record.attempt + 1)}});
       } else {
         ++trace.lost_evaluations;  // accounted, never silently dropped
-        if (live_metrics) metrics().counter("cluster.lost_evaluations_total").add(1);
         ++finished;
       }
-      publish_progress();
+      views.crash_resolved(done.record.id, done.record.attempt, retry, clock);
+      views.progress(clock, finished, submitted, in_flight.size());
       continue;
     }
     if (done.training.valid()) done.record = resolve_plan(done.record, join(done.training));
@@ -439,45 +531,11 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
                             done.record.ckpt_key});
     trace.makespan = std::max(trace.makespan, done.record.virtual_finish);
     trace.retry_seconds += done.record.retry_seconds;
-    if (done.record.transfer_fallback) {
-      ++trace.transfer_fallbacks;
-      if (live_metrics) metrics().counter("cluster.transfer_fallbacks_total").add(1);
-    }
-    if (tracer.enabled())
-      prof::emit_eval_span(tracer, eval_span(done.record),
-                           "eval " + std::to_string(done.record.id),
-                           {{"attempt", std::to_string(done.record.attempt)},
-                            {"score", json_number(done.record.score)}});
-    if (bus.enabled()) {
-      bus.emit(EventType::kEvalFinished, done.record.virtual_finish, done.worker,
-               done.record.id,
-               {{"score", json_number(done.record.score)},
-                {"attempt", std::to_string(done.record.attempt)}});
-      if (done.record.tensors_transferred > 0)
-        bus.emit(EventType::kTransferHit, done.record.virtual_finish, done.worker,
-                 done.record.id,
-                 {{"parent", std::to_string(done.record.parent_id)},
-                  {"tensors", std::to_string(done.record.tensors_transferred)},
-                  {"values", std::to_string(done.record.values_transferred)}});
-      if (done.record.transfer_fallback)
-        bus.emit(EventType::kTransferFallback, done.record.virtual_finish, done.worker,
-                 done.record.id);
-    }
-    if (quality_on) {
-      const EvalRecord& r = done.record;
-      const bool improved =
-          quality.observe(QualityObservation{r.id, r.parent_id, r.tensors_transferred > 0,
-                                             r.transfer_fallback, r.first_epoch_score,
-                                             r.score});
-      if (improved)
-        bus.emit(EventType::kBestScoreImproved, r.virtual_finish, r.worker, r.id,
-                 {{"score", json_number(r.score)},
-                  {"evals_seen", std::to_string(quality.evals_seen())}});
-    }
+    if (done.record.transfer_fallback) ++trace.transfer_fallbacks;
+    views.completion(done.record);
     trace.records.push_back(std::move(done.record));
     ++finished;
-    if (live_metrics) metrics().counter("cluster.evals_completed_total").add(1);
-    publish_progress();
+    views.progress(clock, finished, submitted, in_flight.size());
 
     if (cfg.faults.stall_after_evals >= 0 && !stall_fired &&
         finished >= cfg.faults.stall_after_evals &&
@@ -488,25 +546,7 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
     }
   }
 
-  if (metrics_enabled()) {
-    MetricsRegistry& m = metrics();
-    const double wall = trace.makespan * cfg.num_workers;
-    m.gauge("cluster.worker_busy_seconds").add(busy_seconds);
-    m.gauge("cluster.worker_recovery_seconds").add(recovery_seconds);
-    m.gauge("cluster.worker_idle_seconds")
-        .add(std::max(0.0, wall - busy_seconds - recovery_seconds));
-  }
-  bus.emit(EventType::kRunFinished, trace.makespan, -1, -1,
-           {{"evals", std::to_string(trace.records.size())},
-            {"crashes", std::to_string(trace.crashed_attempts)},
-            {"resubmissions", std::to_string(trace.resubmissions)},
-            {"lost", std::to_string(trace.lost_evaluations)},
-            {"transfer_fallbacks", std::to_string(trace.transfer_fallbacks)},
-            {"makespan", json_number(trace.makespan)},
-            {"best_score", json_number(quality.best_score())},
-            {"transfer_hit_rate", json_number(quality.transfer_hit_rate())},
-            {"mean_lineage_depth", json_number(quality.mean_lineage_depth())},
-            {"kendall_tau_early_final", json_number(quality.early_final_tau())}});
+  views.run_end(trace);
   return trace;
 }
 

@@ -25,21 +25,20 @@ namespace swt {
 /// depend on the persistence layer).  The scheduler calls `lookup` at
 /// selection time — the instant a proposal is paired with an idle worker,
 /// a point whose strategy-RNG state is the same at every eval_parallelism —
-/// and `append` once a fresh attempt's training is joined, always on the
+/// and `append` when it books a freshly trained attempt, always on the
 /// scheduler thread in dispatch order.  An attached journal therefore makes
 /// every training join before the virtual clock next advances (DESIGN.md
-/// §8), so appends never wait on a later instant.  A hit means
-/// the attempt was already trained by a previous (killed) process: its
-/// evaluator-output record is reused verbatim and training is skipped,
-/// which is what makes a resumed run byte-identical to an uninterrupted
-/// one.
+/// §8), so appends never wait on a later instant.  A hit means the attempt
+/// was already trained and booked by a previous (killed) process: its
+/// record is booked again and training is skipped, which is what makes a
+/// resumed run byte-identical to an uninterrupted one.
 class EvalJournal {
  public:
   virtual ~EvalJournal() = default;
 
-  /// The journaled evaluator-output record for (id, attempt), or nullptr
-  /// when the attempt was never journaled.  Implementations should verify
-  /// `arch` and `strategy_rng` against the journaled values and throw
+  /// The journaled record for (id, attempt), or nullptr when the attempt
+  /// was never journaled.  Implementations should verify `arch` and
+  /// `strategy_rng` against the journaled values and throw
   /// std::runtime_error on mismatch — a divergent replay means the journal
   /// belongs to a different configuration and continuing would corrupt the
   /// trace silently.
@@ -47,11 +46,12 @@ class EvalJournal {
                                                  const ArchSeq& arch,
                                                  const Rng& strategy_rng) = 0;
 
-  /// Durably persist a freshly trained attempt.  `selection_state` is the
-  /// strategy-RNG state captured when the attempt was selected (used as the
-  /// replay cross-check in lookup).  Called in deterministic scheduler
-  /// order, so the journal byte stream is identical for every
-  /// eval_parallelism value.
+  /// Durably persist a freshly trained attempt as booked: its virtual
+  /// times, worker and fault bits (a crash included) are set.
+  /// `selection_state` is the strategy-RNG state captured when the attempt
+  /// was selected (the replay cross-check in lookup).  Called in dispatch
+  /// order, so a fixed-time run (fixed_train_seconds >= 0) writes the same
+  /// journal bytes at every eval_parallelism value and on every repeat.
   virtual void append(const EvalRecord& rec, const Rng::State& selection_state) = 0;
 };
 
@@ -86,8 +86,9 @@ struct ClusterConfig {
   /// failures); inert by default, so fault-free traces are unchanged.
   FaultConfig faults = {};
   /// Optional write-ahead journal (non-owning).  When set, every freshly
-  /// trained attempt is durably appended and previously journaled attempts
-  /// skip training on replay.  Null = no journaling (traces unchanged).
+  /// trained attempt is durably appended as it is booked and previously
+  /// journaled attempts skip training on replay.  Null = no journaling
+  /// (traces unchanged).
   EvalJournal* journal = nullptr;
 };
 
@@ -109,8 +110,8 @@ struct Trace {
   double makespan = 0.0;            ///< virtual finish time of the last record
   int num_workers = 0;
 
-  // Failure accounting (all zero on a fault-free run):
-  long crashed_attempts = 0;   ///< evaluation attempts destroyed by crashes
+  // Failure accounting (all zero on a fault-free run; `crashes` counts the
+  // attempts destroyed by crashes):
   long resubmissions = 0;      ///< crashed attempts re-queued for another try
   long lost_evaluations = 0;   ///< proposals abandoned after max_attempts
   double lost_train_seconds = 0.0;  ///< virtual compute destroyed by crashes

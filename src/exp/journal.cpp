@@ -10,21 +10,24 @@
 #include "ckpt/checkpoint.hpp"
 #include "common/log.hpp"
 #include "exp/registry.hpp"
+#include "exp/trace_io.hpp"
 #include "obs/json.hpp"
 
 namespace swt {
 
 namespace {
 
-constexpr std::string_view kFramePrefix = "{\"crc\":\"";  // then 8 hex
-constexpr std::string_view kFrameMid = "\",\"rec\":";     // then the payload
-constexpr std::size_t kPayloadOffset =
-    kFramePrefix.size() + 8 + kFrameMid.size();  // 24
+// A line is "<crc32 of the payload, 8 hex>,<payload>\n" with the payload
+// "<selection-RNG state, 81 hex>,<the attempt's trace.csv row>".
+constexpr std::size_t kCrcHex = 8;
+constexpr std::size_t kRngHex = 81;
+constexpr std::size_t kRowOffset = kCrcHex + 1 + kRngHex + 1;
 
-std::string hex_u64(std::uint64_t v) {
+/// The low `digits` hex digits of `v`, most significant first.
+std::string hex_digits(std::uint64_t v, std::size_t digits) {
   static const char* kHex = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i, v >>= 4) out[static_cast<std::size_t>(i)] = kHex[v & 0xF];
+  std::string out(digits, '0');
+  for (std::size_t i = digits; i-- > 0; v >>= 4) out[i] = kHex[v & 0xF];
   return out;
 }
 
@@ -34,38 +37,6 @@ std::uint64_t parse_hex_u64(std::string_view hex) {
   if (ec != std::errc{} || ptr != hex.data() + hex.size())
     throw std::runtime_error("journal: malformed hex field");
   return v;
-}
-
-std::string hex_u32(std::uint32_t v) {
-  static const char* kHex = "0123456789abcdef";
-  std::string out(8, '0');
-  for (int i = 7; i >= 0; --i, v >>= 4) out[static_cast<std::size_t>(i)] = kHex[v & 0xF];
-  return out;
-}
-
-std::string arch_join(const ArchSeq& arch) {
-  std::string out;
-  for (std::size_t i = 0; i < arch.size(); ++i) {
-    if (i) out += '|';
-    out += std::to_string(arch[i]);
-  }
-  return out;
-}
-
-ArchSeq arch_split(std::string_view s) {
-  ArchSeq arch;
-  if (s.empty()) return arch;
-  std::size_t pos = 0;
-  while (pos <= s.size()) {
-    const std::size_t bar = std::min(s.find('|', pos), s.size());
-    int v = 0;
-    const auto [ptr, ec] = std::from_chars(s.data() + pos, s.data() + bar, v);
-    if (ec != std::errc{} || ptr != s.data() + bar)
-      throw std::runtime_error("journal: malformed arch token");
-    arch.push_back(v);
-    pos = bar + 1;
-  }
-  return arch;
 }
 
 TransferMode parse_mode(const std::string& name) {
@@ -98,18 +69,18 @@ std::filesystem::path manifest_file(const std::filesystem::path& run_dir) {
 
 std::string rng_state_to_hex(const Rng::State& st) {
   std::string out;
-  out.reserve(81);
-  for (const std::uint64_t s : st.s) out += hex_u64(s);
+  out.reserve(kRngHex);
+  for (const std::uint64_t s : st.s) out += hex_digits(s, 16);
   std::uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(st.cached_gauss));
   std::memcpy(&bits, &st.cached_gauss, sizeof(bits));
-  out += hex_u64(bits);
+  out += hex_digits(bits, 16);
   out += st.has_gauss ? '1' : '0';
   return out;
 }
 
 Rng::State rng_state_from_hex(std::string_view hex) {
-  if (hex.size() != 81)
+  if (hex.size() != kRngHex)
     throw std::runtime_error("rng_state_from_hex: expected 81 characters, got " +
                              std::to_string(hex.size()));
   Rng::State st;
@@ -123,93 +94,20 @@ Rng::State rng_state_from_hex(std::string_view hex) {
 }
 
 std::string record_to_journal_line(const EvalRecord& rec, const Rng::State& sel_state) {
-  std::string p = "{";
-  const auto num = [&p](const char* key, const std::string& v, bool first = false) {
-    if (!first) p += ',';
-    p += '"';
-    p += key;
-    p += "\":";
-    p += v;
-  };
-  const auto str = [&p](const char* key, const std::string& v) {
-    p += ",\"";
-    p += key;
-    p += "\":\"";
-    p += json_escape(v);
-    p += '"';
-  };
-  num("id", std::to_string(rec.id), /*first=*/true);
-  num("attempt", std::to_string(rec.attempt));
-  str("arch", arch_join(rec.arch));
-  num("score", json_number(rec.score));
-  num("first_epoch_score", json_number(rec.first_epoch_score));
-  num("parent_id", std::to_string(rec.parent_id));
-  str("ckpt_key", rec.ckpt_key);
-  num("param_count", std::to_string(rec.param_count));
-  num("tensors_transferred", std::to_string(rec.tensors_transferred));
-  num("values_transferred", std::to_string(rec.values_transferred));
-  num("train_seconds", json_number(rec.train_seconds));
-  num("transfer_seconds", json_number(rec.transfer_seconds));
-  num("ckpt_read_cost", json_number(rec.ckpt_read_cost));
-  num("ckpt_write_cost", json_number(rec.ckpt_write_cost));
-  num("ckpt_bytes", std::to_string(rec.ckpt_bytes));
-  num("faults", std::to_string(rec.faults));
-  num("retries", std::to_string(rec.retries));
-  num("retry_seconds", json_number(rec.retry_seconds));
-  num("transfer_fallback", rec.transfer_fallback ? "true" : "false");
-  str("rng", rng_state_to_hex(sel_state));
-  p += '}';
-
-  std::string line;
-  line.reserve(kPayloadOffset + p.size() + 2);
-  line += kFramePrefix;
-  line += hex_u32(crc32(p.data(), p.size()));
-  line += kFrameMid;
-  line += p;
-  line += "}\n";
-  return line;
+  const std::string payload = rng_state_to_hex(sel_state) + ',' + trace_row(rec);
+  return hex_digits(crc32(payload.data(), payload.size()), kCrcHex) + ',' + payload + '\n';
 }
 
 std::pair<EvalRecord, Rng::State> journal_line_to_record(std::string_view line) {
   while (!line.empty() && (line.back() == '\n' || line.back() == '\r'))
     line.remove_suffix(1);
-  if (line.size() < kPayloadOffset + 3 ||
-      line.substr(0, kFramePrefix.size()) != kFramePrefix ||
-      line.substr(kFramePrefix.size() + 8, kFrameMid.size()) != kFrameMid ||
-      line.back() != '}')
+  if (line.size() < kRowOffset || line[kCrcHex] != ',' || line[kRowOffset - 1] != ',')
     throw std::runtime_error("journal: malformed record framing");
-  const std::uint32_t stored = static_cast<std::uint32_t>(
-      parse_hex_u64(line.substr(kFramePrefix.size(), 8)));
-  const std::string_view payload =
-      line.substr(kPayloadOffset, line.size() - kPayloadOffset - 1);
-  if (crc32(payload.data(), payload.size()) != stored)
+  const std::string_view payload = line.substr(kCrcHex + 1);
+  if (crc32(payload.data(), payload.size()) != parse_hex_u64(line.substr(0, kCrcHex)))
     throw std::runtime_error("journal: CRC mismatch");
-
-  const JsonValue v = parse_json(payload);
-  if (!v.is_object()) throw std::runtime_error("journal: record is not an object");
-  EvalRecord rec;
-  rec.id = static_cast<long>(v.number_or("id", -1));
-  rec.attempt = static_cast<int>(v.number_or("attempt", 0));
-  rec.arch = arch_split(v.string_or("arch", ""));
-  rec.score = v.number_or("score", 0.0);
-  rec.first_epoch_score = v.number_or("first_epoch_score", 0.0);
-  rec.parent_id = static_cast<long>(v.number_or("parent_id", -1));
-  rec.ckpt_key = v.string_or("ckpt_key", "");
-  rec.param_count = static_cast<std::int64_t>(v.number_or("param_count", 0));
-  rec.tensors_transferred = static_cast<std::size_t>(v.number_or("tensors_transferred", 0));
-  rec.values_transferred = static_cast<std::size_t>(v.number_or("values_transferred", 0));
-  rec.train_seconds = v.number_or("train_seconds", 0.0);
-  rec.transfer_seconds = v.number_or("transfer_seconds", 0.0);
-  rec.ckpt_read_cost = v.number_or("ckpt_read_cost", 0.0);
-  rec.ckpt_write_cost = v.number_or("ckpt_write_cost", 0.0);
-  rec.ckpt_bytes = static_cast<std::size_t>(v.number_or("ckpt_bytes", 0));
-  rec.faults = static_cast<unsigned>(v.number_or("faults", 0));
-  rec.retries = static_cast<int>(v.number_or("retries", 0));
-  rec.retry_seconds = v.number_or("retry_seconds", 0.0);
-  rec.transfer_fallback =
-      v.contains("transfer_fallback") && v.at("transfer_fallback").boolean;
-  const std::string rng_hex = v.string_or("rng", "");
-  return {std::move(rec), rng_state_from_hex(rng_hex)};
+  return {parse_trace_row(std::string(line.substr(kRowOffset))),
+          rng_state_from_hex(payload.substr(0, kRngHex))};
 }
 
 RunManifest make_manifest(std::string_view app_name, const NasRunConfig& cfg) {
@@ -283,9 +181,12 @@ RunManifest parse_manifest(std::string_view json) {
   if (!v.is_object()) throw std::runtime_error("manifest: not a JSON object");
   RunManifest m;
   m.version = static_cast<int>(v.number_or("version", 0));
-  if (m.version != 1)
-    throw std::runtime_error("manifest: unsupported version " +
-                             std::to_string(m.version));
+  if (m.version != RunManifest{}.version)
+    throw std::runtime_error("manifest: unsupported version " + std::to_string(m.version) +
+                             " (this build resumes version " +
+                             std::to_string(RunManifest{}.version) +
+                             " run directories only: an older build's journal holds "
+                             "records it cannot replay)");
   m.app = v.string_or("app", "");
   if (!parse_app_id(m.app).has_value())
     throw std::runtime_error("manifest: unknown app '" + m.app + "'");
@@ -318,8 +219,6 @@ RunManifest parse_manifest(std::string_view json) {
   f.max_io_retries = static_cast<int>(v.number_or("max_io_retries", 3));
   f.retry_backoff_s = v.number_or("retry_backoff_s", 0.050);
   f.retry_backoff_multiplier = v.number_or("retry_backoff_multiplier", 2.0);
-  // Pre-bank manifests simply lack these keys; the defaults reproduce the
-  // old behaviour, so legacy run directories resume unchanged.
   c.bank = v.contains("bank") && v.at("bank").boolean;
   c.bank_budget_bytes = static_cast<std::size_t>(
       parse_u64_string(v.string_or("bank_budget_bytes", "0"), "bank_budget_bytes"));

@@ -1,14 +1,17 @@
 // Write-ahead run journal and run manifest — the durable half of crash
 // recovery (DESIGN.md "Durability contract").
 //
-// A journaled run writes one CRC32-framed NDJSON record per *trained*
-// evaluation attempt (the evaluator's output plus the strategy-RNG state at
-// selection time), fsynced before the scheduler consumes the result.  After
-// a kill, `nas_cli --resume` re-executes the whole search from the same
-// seed: the scheduler replays deterministically, and every attempt found in
-// the journal skips training — so the resumed run's trace is byte-identical
-// to an uninterrupted one, and only the (at most one) attempt whose record
-// was torn off by the kill is retrained.
+// A journaled run writes one CRC32-framed line per *trained* evaluation
+// attempt: the strategy-RNG state at selection time and the attempt's
+// booked trace.csv row (virtual times, worker, fault bits, a crash
+// included), fsynced when the scheduler books the attempt, before the
+// strategy can see its result.  After a kill, `nas_cli --resume` re-executes
+// the whole search from the same seed: the scheduler replays
+// deterministically, and every attempt found in the journal skips training
+// — so the resumed run's trace and journal are byte-identical to an
+// uninterrupted one's.  Every attempt that trained but was not yet
+// journaled when the process died trains again: at most one per training
+// in flight, so one at eval parallelism 1.
 //
 // The manifest (`manifest.json`, written atomically at run start) pins the
 // run's full behaviour-relevant configuration and its registry config hash;
@@ -43,7 +46,9 @@ namespace swt {
 /// directory: the app plus every NasRunConfig knob that changes behaviour,
 /// and the registry config hash over them (the resume compatibility check).
 struct RunManifest {
-  int version = 1;
+  /// 2 since journal lines carry booked trace rows; a version-1 directory
+  /// holds JSON evaluator records, which this build refuses to replay.
+  int version = 2;
   std::string app;          ///< canonical app name (to_string(AppId))
   NasRunConfig cfg;
   std::string config_hash;  ///< registry config_hash(app, cfg)
@@ -64,10 +69,12 @@ void write_manifest(const std::filesystem::path& run_dir, const RunManifest& m);
     const std::filesystem::path& run_dir);
 
 /// The concrete EvalJournal: `<run_dir>/journal.ndjson`, one line per
-/// trained attempt, each framed as {"crc":"<8 hex>","rec":{...}} where the
-/// CRC32 covers the exact bytes of the rec object.  Appends go through one
-/// O_APPEND write(2) plus (by default) an fsync, so a kill can tear at most
-/// the final record — which open() detects and truncates away.
+/// trained attempt, framed as "<crc>,<rng>,<row>": the CRC32 in 8 hex digits
+/// covers the exact bytes after its comma, <rng> is the selection-time
+/// strategy-RNG state in rng_state_to_hex form and <row> the booked record
+/// in trace_row form.  Appends go through one O_APPEND write(2) plus (by
+/// default) an fsync, so a kill can tear at most the final record — which
+/// open() detects and truncates away.
 class RunJournal final : public EvalJournal {
  public:
   static constexpr const char* kFileName = "journal.ndjson";
@@ -90,7 +97,7 @@ class RunJournal final : public EvalJournal {
   [[nodiscard]] const EvalRecord* lookup(long id, int attempt, const ArchSeq& arch,
                                          const Rng& strategy_rng) override;
 
-  /// EvalJournal: durably append one freshly trained attempt.
+  /// EvalJournal: durably append one freshly trained attempt's booked record.
   void append(const EvalRecord& rec, const Rng::State& selection_state) override;
 
   /// Crash hook for tests: `_exit(kCrashExitCode)` the instant the process
@@ -98,7 +105,7 @@ class RunJournal final : public EvalJournal {
   /// exactly `n` records more than it was opened with.  Negative = never.
   void set_crash_after(long n) noexcept { crash_after_ = n; }
 
-  /// Checkpoint keys of the journaled attempts that completed: the only
+  /// Checkpoint keys of the journaled attempts that did not crash: the only
   /// checkpoints of a previous process that a resumed search reads without
   /// training their attempt again.
   [[nodiscard]] std::set<std::string> completed_ckpt_keys() const;

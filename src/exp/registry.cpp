@@ -139,7 +139,7 @@ RunRecord make_run_record(std::string_view app_name, const NasRunConfig& cfg,
   rec.ckpt_overhead_s = trace.total_ckpt_overhead();
   rec.wall_seconds = wall_seconds;
   rec.evals_completed = static_cast<long>(trace.records.size());
-  rec.crashed_attempts = trace.crashed_attempts;
+  rec.crashed_attempts = static_cast<long>(trace.crashes.size());
   rec.resubmissions = trace.resubmissions;
   rec.lost_evaluations = trace.lost_evaluations;
   rec.transfer_fallbacks = trace.transfer_fallbacks;

@@ -80,13 +80,13 @@ void ReportCapture::clear() {
 }
 
 void print_failure_summary(std::ostream& os, const Trace& trace) {
-  const bool clean = trace.crashed_attempts == 0 && trace.lost_evaluations == 0 &&
+  const bool clean = trace.crashes.empty() && trace.lost_evaluations == 0 &&
                      trace.retry_seconds == 0.0 && trace.transfer_fallbacks == 0;
   if (clean) {
     os << "faults              : none (clean run)\n";
     return;
   }
-  os << "crashed attempts    : " << trace.crashed_attempts << " ("
+  os << "crashed attempts    : " << trace.crashes.size() << " ("
      << trace.resubmissions << " resubmitted, " << trace.lost_evaluations
      << " lost after max attempts)\n"
      << "lost train time     : " << TableReport::cell(trace.lost_train_seconds, 2)

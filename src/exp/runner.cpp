@@ -118,8 +118,9 @@ NasRun run_nas(const AppConfig& app, const NasRunConfig& cfg) {
       // The journal roots the bank's manifests as manifests root chunks.
       // An attempt the killed run checkpointed but never journaled trains
       // again, and its re-put must not dedupe against the copy it left:
-      // that put would be priced at manifest cost and move the trace.  (A
-      // flat put is priced at blob size whatever the store holds.)
+      // that put would be priced at manifest cost and move the trace.  A
+      // journaled crash roots nothing, since its resubmission reuses the
+      // key.  (A flat put is priced at blob size whatever the store holds.)
       const std::set<std::string> rooted = journal->completed_ckpt_keys();
       for (const std::string& key : run.store->bank()->keys())
         if (!rooted.contains(key)) run.store->remove(key);

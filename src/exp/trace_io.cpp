@@ -23,17 +23,6 @@ constexpr std::size_t kColumns = 25;
 constexpr const char* kCrashTag = "# crash";
 constexpr std::size_t kCrashColumns = 7;
 
-/// Architecture sequences are encoded as '|'-joined ints so the CSV stays
-/// one-value-per-column.
-std::string encode_arch(const ArchSeq& arch) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < arch.size(); ++i) {
-    if (i) os << '|';
-    os << arch[i];
-  }
-  return os.str();
-}
-
 std::vector<std::string> split_csv_line(const std::string& line) {
   std::vector<std::string> cells;
   std::string cell;
@@ -44,13 +33,12 @@ std::vector<std::string> split_csv_line(const std::string& line) {
 }
 
 /// Sequential typed access to one CSV row.  Every conversion failure is
-/// reported with the 1-based file line, the column name and the offending
-/// cell text — a malformed trace should say *where* it is broken, not
+/// reported with the column name and the offending cell text (the caller
+/// adds the line) — a malformed trace should say *where* it is broken, not
 /// surface as a bare std::invalid_argument from std::stod.
 class RowReader {
  public:
-  RowReader(const std::vector<std::string>& cells, std::size_t line_no)
-      : cells_(&cells), line_no_(line_no) {}
+  explicit RowReader(const std::vector<std::string>& cells) : cells_(&cells) {}
 
   [[nodiscard]] const std::string& next_raw(const char* col) {
     if (idx_ >= cells_->size()) throw error(col, "<missing>", "missing cell");
@@ -90,8 +78,8 @@ class RowReader {
 
   [[nodiscard]] std::runtime_error error(const char* col, const std::string& cell,
                                          const char* why) const {
-    return std::runtime_error("read_trace_csv: line " + std::to_string(line_no_) +
-                              ", column '" + col + "': " + why + " \"" + cell + "\"");
+    return std::runtime_error(std::string("column '") + col + "': " + why + " \"" + cell +
+                              "\"");
   }
 
  private:
@@ -109,7 +97,6 @@ class RowReader {
   }
 
   const std::vector<std::string>* cells_;
-  std::size_t line_no_;
   std::size_t idx_ = 0;
 };
 
@@ -130,29 +117,74 @@ ArchSeq decode_arch(const std::string& text, const RowReader& row) {
   return arch;
 }
 
+EvalRecord record_from_cells(const std::vector<std::string>& cells) {
+  if (cells.size() != kColumns)
+    throw std::runtime_error("expected " + std::to_string(kColumns) + " columns, got " +
+                             std::to_string(cells.size()));
+  RowReader row(cells);
+  EvalRecord r;
+  r.id = row.next_long("id");
+  r.arch = decode_arch(row.next_raw("arch"), row);
+  r.score = row.next_double("score");
+  r.parent_id = row.next_long("parent_id");
+  r.ckpt_key = row.next_raw("ckpt_key");
+  r.param_count = row.next_i64("param_count");
+  r.tensors_transferred = row.next_u64("tensors_transferred");
+  r.values_transferred = row.next_u64("values_transferred");
+  r.train_seconds = row.next_double("train_seconds");
+  r.transfer_seconds = row.next_double("transfer_seconds");
+  r.ckpt_read_cost = row.next_double("ckpt_read_cost");
+  r.ckpt_write_cost = row.next_double("ckpt_write_cost");
+  r.ckpt_bytes = row.next_u64("ckpt_bytes");
+  r.ckpt_write_charged = row.next_double("ckpt_write_charged");
+  r.ckpt_read_wait = row.next_double("ckpt_read_wait");
+  r.ckpt_available_at = row.next_double("ckpt_available_at");
+  r.virtual_start = row.next_double("virtual_start");
+  r.virtual_finish = row.next_double("virtual_finish");
+  r.worker = row.next_int("worker");
+  r.attempt = row.next_int("attempt");
+  r.faults = row.next_unsigned("faults");
+  r.retries = row.next_int("retries");
+  r.retry_seconds = row.next_double("retry_seconds");
+  r.transfer_fallback = row.next_raw("transfer_fallback") != "0";
+  r.first_epoch_score = row.next_double("first_epoch_score");
+  return r;
+}
+
 }  // namespace
+
+std::string trace_row(const EvalRecord& r) {
+  std::ostringstream os;
+  os.precision(17);
+  os << r.id << ',';
+  for (std::size_t i = 0; i < r.arch.size(); ++i) os << (i ? "|" : "") << r.arch[i];
+  os << ',' << r.score << ',' << r.parent_id << ',' << r.ckpt_key << ',' << r.param_count
+     << ',' << r.tensors_transferred << ',' << r.values_transferred << ',' << r.train_seconds
+     << ',' << r.transfer_seconds << ',' << r.ckpt_read_cost << ',' << r.ckpt_write_cost
+     << ',' << r.ckpt_bytes << ',' << r.ckpt_write_charged << ',' << r.ckpt_read_wait << ','
+     << r.ckpt_available_at << ',' << r.virtual_start << ',' << r.virtual_finish << ','
+     << r.worker << ',' << r.attempt << ',' << r.faults << ',' << r.retries << ','
+     << r.retry_seconds << ',' << (r.transfer_fallback ? 1 : 0) << ','
+     << r.first_epoch_score;
+  return os.str();
+}
+
+EvalRecord parse_trace_row(const std::string& row) {
+  return record_from_cells(split_csv_line(row));
+}
 
 void write_trace_csv(std::ostream& os, const Trace& trace) {
   os.precision(17);
   os << "# swtnas trace, num_workers=" << trace.num_workers
      << ", makespan=" << trace.makespan
-     << ", crashed_attempts=" << trace.crashed_attempts
+     << ", crashed_attempts=" << trace.crashes.size()
      << ", resubmissions=" << trace.resubmissions
      << ", lost_evaluations=" << trace.lost_evaluations
      << ", lost_train_seconds=" << trace.lost_train_seconds
      << ", retry_seconds=" << trace.retry_seconds
      << ", transfer_fallbacks=" << trace.transfer_fallbacks << '\n';
   os << kHeader << '\n';
-  for (const auto& r : trace.records) {
-    os << r.id << ',' << encode_arch(r.arch) << ',' << r.score << ',' << r.parent_id << ','
-       << r.ckpt_key << ',' << r.param_count << ',' << r.tensors_transferred << ','
-       << r.values_transferred << ',' << r.train_seconds << ',' << r.transfer_seconds
-       << ',' << r.ckpt_read_cost << ',' << r.ckpt_write_cost << ',' << r.ckpt_bytes << ','
-       << r.ckpt_write_charged << ',' << r.ckpt_read_wait << ',' << r.ckpt_available_at
-       << ',' << r.virtual_start << ',' << r.virtual_finish << ',' << r.worker << ','
-       << r.attempt << ',' << r.faults << ',' << r.retries << ',' << r.retry_seconds
-       << ',' << (r.transfer_fallback ? 1 : 0) << ',' << r.first_epoch_score << '\n';
-  }
+  for (const auto& r : trace.records) os << trace_row(r) << '\n';
   for (const CrashRecord& c : trace.crashes)
     os << kCrashTag << ',' << c.id << ',' << c.attempt << ',' << c.worker << ','
        << c.start << ',' << c.crash_at << ',' << c.recovered_at << '\n';
@@ -171,6 +203,7 @@ Trace read_trace_csv(std::istream& is) {
   if (!std::getline(is, line) || !line.starts_with("# swtnas trace"))
     throw std::runtime_error("read_trace_csv: missing trace preamble");
   {
+    // crashed_attempts is not read back: the crash lines carry the count.
     std::istringstream meta(line);
     std::string token;
     while (std::getline(meta, token, ',')) {
@@ -181,7 +214,6 @@ Trace read_trace_csv(std::istream& is) {
       try {
         if (key.ends_with("num_workers")) trace.num_workers = std::stoi(value);
         if (key.ends_with("makespan")) trace.makespan = std::stod(value);
-        if (key.ends_with("crashed_attempts")) trace.crashed_attempts = std::stol(value);
         if (key.ends_with("resubmissions")) trace.resubmissions = std::stol(value);
         if (key.ends_with("lost_evaluations")) trace.lost_evaluations = std::stol(value);
         if (key.ends_with("lost_train_seconds")) trace.lost_train_seconds = std::stod(value);
@@ -201,16 +233,17 @@ Trace read_trace_csv(std::istream& is) {
     if (line.empty()) continue;
     const auto cells = split_csv_line(line);
     const bool crash = cells.front() == kCrashTag;
-    if (!crash && !trace.crashes.empty())
-      throw std::runtime_error("read_trace_csv: line " + std::to_string(line_no) +
-                               ": record row after the crash lines");
-    const std::size_t want = crash ? kCrashColumns : kColumns;
-    if (cells.size() != want)
-      throw std::runtime_error("read_trace_csv: line " + std::to_string(line_no) +
-                               ": expected " + std::to_string(want) + " columns, got " +
-                               std::to_string(cells.size()));
-    RowReader row(cells, line_no);
-    if (crash) {
+    try {
+      if (!crash) {
+        if (!trace.crashes.empty())
+          throw std::runtime_error("record row after the crash lines");
+        trace.records.push_back(record_from_cells(cells));
+        continue;
+      }
+      if (cells.size() != kCrashColumns)
+        throw std::runtime_error("expected " + std::to_string(kCrashColumns) +
+                                 " columns, got " + std::to_string(cells.size()));
+      RowReader row(cells);
       (void)row.next_raw("tag");
       CrashRecord& c = trace.crashes.emplace_back();
       c.id = row.next_long("id");
@@ -219,34 +252,10 @@ Trace read_trace_csv(std::istream& is) {
       c.start = row.next_double("start");
       c.crash_at = row.next_double("crash_at");
       c.recovered_at = row.next_double("recovered_at");
-      continue;
+    } catch (const std::runtime_error& e) {
+      throw std::runtime_error("read_trace_csv: line " + std::to_string(line_no) + ": " +
+                               e.what());
     }
-    EvalRecord& r = trace.records.emplace_back();
-    r.id = row.next_long("id");
-    r.arch = decode_arch(row.next_raw("arch"), row);
-    r.score = row.next_double("score");
-    r.parent_id = row.next_long("parent_id");
-    r.ckpt_key = row.next_raw("ckpt_key");
-    r.param_count = row.next_i64("param_count");
-    r.tensors_transferred = row.next_u64("tensors_transferred");
-    r.values_transferred = row.next_u64("values_transferred");
-    r.train_seconds = row.next_double("train_seconds");
-    r.transfer_seconds = row.next_double("transfer_seconds");
-    r.ckpt_read_cost = row.next_double("ckpt_read_cost");
-    r.ckpt_write_cost = row.next_double("ckpt_write_cost");
-    r.ckpt_bytes = row.next_u64("ckpt_bytes");
-    r.ckpt_write_charged = row.next_double("ckpt_write_charged");
-    r.ckpt_read_wait = row.next_double("ckpt_read_wait");
-    r.ckpt_available_at = row.next_double("ckpt_available_at");
-    r.virtual_start = row.next_double("virtual_start");
-    r.virtual_finish = row.next_double("virtual_finish");
-    r.worker = row.next_int("worker");
-    r.attempt = row.next_int("attempt");
-    r.faults = row.next_unsigned("faults");
-    r.retries = row.next_int("retries");
-    r.retry_seconds = row.next_double("retry_seconds");
-    r.transfer_fallback = row.next_raw("transfer_fallback") != "0";
-    r.first_epoch_score = row.next_double("first_epoch_score");
   }
   return trace;
 }

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "exp/journal.hpp"
 #include "exp/runner.hpp"
@@ -56,6 +57,11 @@ class CrashRecoveryFixture : public ::testing::Test {
     std::ostringstream os;
     write_trace_csv(os, trace);
     return os.str();
+  }
+
+  static std::string journal_bytes(const fs::path& run_dir) {
+    std::ifstream in(run_dir / RunJournal::kFileName, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
   }
 
   /// run_nas in a forked child; returns the child's exit status (or the
@@ -189,8 +195,8 @@ TEST_F(CrashRecoveryFixture, ResumeWithEvalParallelismIsByteIdentical) {
 TEST_F(CrashRecoveryFixture, FaultedRunResumesByteIdentical) {
   // Injected worker crashes, stragglers and flaky checkpoint I/O are all
   // deterministic from the fault seed, and crashed attempts are journaled
-  // too (their training happened) — so recovery composes with the fault
-  // model bit-for-bit.
+  // too (their training happened), crash bit set — so recovery composes
+  // with the fault model bit-for-bit.
   NasRunConfig base = cfg();
   base.cluster.faults.mtbf_seconds = 5.0;
   base.cluster.faults.ckpt_read_fault_rate = 0.3;
@@ -198,7 +204,7 @@ TEST_F(CrashRecoveryFixture, FaultedRunResumesByteIdentical) {
   base.cluster.faults.straggler_rate = 0.3;
   const NasRun plain = run_nas(app_, base);
   const std::string reference = csv(plain.trace);
-  ASSERT_GT(plain.trace.crashed_attempts + plain.trace.resubmissions, 0)
+  ASSERT_GT(plain.trace.crashes.size(), 0u)
       << "fault rates too low to exercise anything";
 
   NasRunConfig crash = base;
@@ -211,6 +217,70 @@ TEST_F(CrashRecoveryFixture, FaultedRunResumesByteIdentical) {
   res.resume = true;
   const NasRun resumed = run_nas(app_, res);
   EXPECT_EQ(csv(resumed.trace), reference);
+}
+
+TEST_F(CrashRecoveryFixture, BankedResumeAtEachResubmissionIsByteIdentical) {
+  // A resubmission re-puts its crashed attempt's checkpoint key.  Killed
+  // just before the resubmission is journaled, the run leaves the journaled
+  // crashed attempt beside the resubmission's banked checkpoint.  A crashed
+  // record must not root that checkpoint: the resubmission trains again on
+  // resume, and a re-put deduped against the leftover would be priced at
+  // manifest cost instead of its new-chunk bytes.
+  NasRunConfig base = cfg();
+  base.bank = true;
+  base.cluster.faults.mtbf_seconds = 5.0;
+  NasRunConfig ref = base;
+  ref.run_dir = fresh_dir("bank_resubmit_ref");
+  const std::string reference = csv(run_nas(app_, ref).trace);
+
+  std::vector<long> resubmitted;  // journal positions of attempts >= 1
+  std::istringstream journal(journal_bytes(ref.run_dir));
+  long pos = 0;
+  for (std::string line; std::getline(journal, line); ++pos)
+    if (journal_line_to_record(line).first.attempt > 0) resubmitted.push_back(pos);
+  ASSERT_FALSE(resubmitted.empty()) << "no resubmission to kill the run at";
+
+  for (const long n : resubmitted) {
+    NasRunConfig crash = base;
+    crash.run_dir = fresh_dir("bank_resubmit_" + std::to_string(n));
+    crash.journal_crash_after = n;
+    EXPECT_EQ(run_in_child(app_, crash), RunJournal::kCrashExitCode) << n;
+
+    NasRunConfig res = base;
+    res.run_dir = crash.run_dir;
+    res.resume = true;
+    EXPECT_EQ(csv(run_nas(app_, res).trace), reference) << "killed at journal record " << n;
+  }
+}
+
+TEST_F(CrashRecoveryFixture, FixedTimeJournalIsByteIdentical) {
+  // A journal line is the attempt's booked trace row, so a fixed-time
+  // journal is as reproducible as the trace: across repeats, across eval
+  // parallelism, and through a kill and resume.  Crashed attempts are
+  // journaled too.
+  NasRunConfig base = cfg();
+  base.cluster.faults.mtbf_seconds = 5.0;
+  const auto journal_of = [&](const std::string& tag, int parallelism) {
+    NasRunConfig c = base;
+    c.run_dir = fresh_dir(tag);
+    c.cluster.eval_parallelism = parallelism;
+    (void)run_nas(app_, c);
+    return journal_bytes(c.run_dir);
+  };
+  const std::string reference = journal_of("journal_ref", 1);
+  ASSERT_FALSE(reference.empty());
+  EXPECT_EQ(journal_of("journal_repeat", 1), reference);
+  EXPECT_EQ(journal_of("journal_par4", 4), reference);
+
+  NasRunConfig crash = base;
+  crash.run_dir = fresh_dir("journal_resumed");
+  crash.journal_crash_after = base.n_evals / 2;
+  ASSERT_EQ(run_in_child(app_, crash), RunJournal::kCrashExitCode);
+  NasRunConfig res = base;
+  res.run_dir = crash.run_dir;
+  res.resume = true;
+  (void)run_nas(app_, res);
+  EXPECT_EQ(journal_bytes(res.run_dir), reference);
 }
 
 TEST_F(CrashRecoveryFixture, TornJournalTailIsDiscardedAndRetrained) {

@@ -9,8 +9,11 @@
 
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
+#include "exp/runner.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/quality.hpp"
+#include "obs/span_tracer.hpp"
 
 namespace swt {
 namespace {
@@ -199,6 +202,97 @@ TEST(QualityTelemetry, LineageDepthChains) {
   (void)q.observe({.eval_id = 99, .parent_id = 1234, .transferred = true,
                    .transfer_fallback = false, .first_epoch_score = 0, .score = 0.0});
   EXPECT_EQ(q.lineage_histogram().at(2), 2);
+}
+
+// Every live view of a search counts what its Trace holds: the bus, the
+// virtual-timeline spans and the cluster counters are fed by the scheduler
+// at its transitions, the Trace is what the search returns.  A faulted
+// serial search exercises crashes, resubmissions, lost evaluations,
+// transfer hits and fallbacks.
+TEST(SearchTelemetry, EventsSpansAndCountersReconcileWithTheTrace) {
+  EventBus& bus = EventBus::global();
+  SpanTracer& tracer = SpanTracer::global();
+  const bool metrics_were_on = metrics_enabled();
+  metrics().reset();
+  bus.reset_counts();
+  tracer.clear();
+  set_metrics_enabled(true);
+  bus.set_enabled(true);
+  tracer.set_enabled(true);
+  const AppConfig app = make_app(AppId::kMnist, 11, {.data_scale = 0.2});
+  NasRunConfig cfg;
+  cfg.mode = TransferMode::kLCS;
+  cfg.n_evals = 30;
+  cfg.seed = 11;
+  cfg.cluster.num_workers = 4;
+  cfg.cluster.fixed_train_seconds = 1.0;
+  cfg.cluster.faults.mtbf_seconds = 3.0;
+  cfg.cluster.faults.worker_recovery_s = 2.0;
+  cfg.cluster.faults.max_attempts = 2;
+  cfg.cluster.faults.ckpt_read_fault_rate = 0.5;
+  cfg.cluster.faults.max_io_retries = 1;
+  cfg.evolution = {.population_size = 6, .sample_size = 3};
+  const Trace trace = run_nas(app, cfg).trace;
+  tracer.set_enabled(false);
+  bus.set_enabled(false);
+  set_metrics_enabled(metrics_were_on);
+
+  const long records = static_cast<long>(trace.records.size());
+  const long crashes = static_cast<long>(trace.crashes.size());
+  ASSERT_GT(trace.resubmissions, 0);
+  ASSERT_GT(trace.lost_evaluations, 0);
+  ASSERT_GT(trace.transfer_fallbacks, 0);
+  long transfer_hits = 0;
+  long improvements = 0;
+  double best = 0.0;
+  for (const EvalRecord& r : trace.records) {
+    if (r.tensors_transferred > 0) ++transfer_hits;
+    if (improvements == 0 || r.score > best) {
+      best = r.score;
+      ++improvements;
+    }
+  }
+  ASSERT_GT(transfer_hits, 0);
+
+  EXPECT_EQ(bus.emitted(EventType::kRunStarted), 1);
+  EXPECT_EQ(bus.emitted(EventType::kEvalSubmitted), records + trace.lost_evaluations);
+  EXPECT_EQ(bus.emitted(EventType::kEvalStarted), records + crashes);
+  EXPECT_EQ(bus.emitted(EventType::kEvalFinished), records);
+  EXPECT_EQ(bus.emitted(EventType::kWorkerCrashed), crashes);
+  EXPECT_EQ(bus.emitted(EventType::kWorkerRecovered), crashes);
+  EXPECT_EQ(bus.emitted(EventType::kResubmission), trace.resubmissions);
+  EXPECT_EQ(bus.emitted(EventType::kTransferHit), transfer_hits);
+  EXPECT_EQ(bus.emitted(EventType::kTransferFallback), trace.transfer_fallbacks);
+  EXPECT_EQ(bus.emitted(EventType::kBestScoreImproved), improvements);
+  EXPECT_EQ(bus.emitted(EventType::kRunFinished), 1);
+  bus.reset_counts();
+
+  long eval_spans = 0;
+  long fault_spans = 0;
+  for (const TraceEvent& ev : tracer.events()) {
+    if (ev.pid != kTraceVirtualPid || ev.ph != 'X') continue;
+    if (ev.cat == "eval") ++eval_spans;
+    if (ev.cat == "fault") ++fault_spans;
+  }
+  tracer.clear();
+  EXPECT_EQ(eval_spans, records);
+  EXPECT_EQ(fault_spans, 2 * crashes);
+
+  const MetricsSnapshot snap = metrics().snapshot();
+  metrics().reset();
+  EXPECT_EQ(snap.counters.at("cluster.evals_completed_total"), records);
+  EXPECT_EQ(snap.counters.at("cluster.crashes_total"), crashes);
+  EXPECT_EQ(snap.counters.at("cluster.resubmissions_total"), trace.resubmissions);
+  EXPECT_EQ(snap.counters.at("cluster.lost_evaluations_total"), trace.lost_evaluations);
+  EXPECT_EQ(snap.counters.at("cluster.transfer_fallbacks_total"), trace.transfer_fallbacks);
+  EXPECT_EQ(snap.gauges.at("search.evals_completed"),
+            static_cast<double>(records + trace.lost_evaluations));
+  EXPECT_NEAR(snap.gauges.at("cluster.worker_recovery_seconds"),
+              static_cast<double>(crashes) * cfg.cluster.faults.worker_recovery_s, 1e-9);
+  EXPECT_NEAR(snap.gauges.at("cluster.worker_busy_seconds") +
+                  snap.gauges.at("cluster.worker_recovery_seconds") +
+                  snap.gauges.at("cluster.worker_idle_seconds"),
+              trace.makespan * cfg.cluster.num_workers, 1e-9);
 }
 
 }  // namespace

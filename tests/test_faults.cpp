@@ -335,7 +335,7 @@ TEST_F(FaultClusterFixture, InertFaultConfigMatchesFaultFreeRunBitForBit) {
     EXPECT_EQ(b.retries, 0);
     EXPECT_FALSE(b.transfer_fallback);
   }
-  EXPECT_EQ(with_cfg.crashed_attempts, 0);
+  EXPECT_TRUE(with_cfg.crashes.empty());
   EXPECT_EQ(with_cfg.lost_evaluations, 0);
   EXPECT_DOUBLE_EQ(with_cfg.retry_seconds, 0.0);
 }
@@ -359,7 +359,7 @@ TEST_F(FaultClusterFixture, SeededFaultRunIsBitIdenticalAcrossRepeats) {
   const Trace b = run(TransferMode::kLCS, 4, 30, stormy_config());
   ASSERT_EQ(a.records.size(), b.records.size());
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.crashed_attempts, b.crashed_attempts);
+  EXPECT_EQ(a.crashes.size(), b.crashes.size());
   EXPECT_EQ(a.resubmissions, b.resubmissions);
   EXPECT_EQ(a.lost_evaluations, b.lost_evaluations);
   EXPECT_DOUBLE_EQ(a.lost_train_seconds, b.lost_train_seconds);
@@ -412,8 +412,9 @@ TEST_F(FaultClusterFixture, NoEvaluationIsSilentlyLost) {
   cfg.mtbf_seconds = 2.0;  // heavy crash pressure, some evals exhaust retries
   cfg.max_attempts = 2;
   const Trace trace = run(TransferMode::kLCS, 4, 40, cfg);
-  EXPECT_GT(trace.crashed_attempts, 0);
-  EXPECT_EQ(trace.crashed_attempts, trace.resubmissions + trace.lost_evaluations);
+  EXPECT_GT(trace.crashes.size(), 0u);
+  EXPECT_EQ(static_cast<long>(trace.crashes.size()),
+            trace.resubmissions + trace.lost_evaluations);
   EXPECT_EQ(static_cast<long>(trace.records.size()) + trace.lost_evaluations, 40);
   std::set<long> ids;
   for (const auto& r : trace.records) ids.insert(r.id);
@@ -429,7 +430,7 @@ TEST_F(FaultClusterFixture, SingleWorkerClusterSurvivesCrashes) {
   cfg.worker_recovery_s = 10.0;
   cfg.max_attempts = 4;
   const Trace trace = run(TransferMode::kNone, 1, 12, cfg);
-  EXPECT_GT(trace.crashed_attempts, 0);
+  EXPECT_GT(trace.crashes.size(), 0u);
   EXPECT_EQ(static_cast<long>(trace.records.size()) + trace.lost_evaluations, 12);
 }
 

@@ -2,19 +2,23 @@
 // (DESIGN.md "Durability contract").  The fork/SIGKILL end-to-end harness
 // lives in test_crash_recovery.cpp; this file covers the units underneath:
 // record framing + CRC detection, RNG-state hex round-trips, manifest
-// serialization and refusal paths, torn-tail truncation on open, and the
-// atomic-write/durable-append building blocks.
+// serialization and refusal paths (an older manifest version included),
+// torn-tail truncation on open, and the atomic-write/durable-append
+// building blocks.
 #include "exp/journal.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
+#include "ckpt/checkpoint.hpp"
 #include "common/fsio.hpp"
 #include "exp/registry.hpp"
+#include "exp/trace_io.hpp"
 
 namespace swt {
 namespace {
@@ -59,6 +63,12 @@ class TempDir {
   rec.ckpt_read_cost = 0.5;
   rec.ckpt_write_cost = 0.75;
   rec.ckpt_bytes = 8192;
+  rec.ckpt_write_charged = 0.002;
+  rec.ckpt_read_wait = 1.0 / 3.0;
+  rec.ckpt_available_at = 14.5;
+  rec.virtual_start = 10.0 / 3.0;
+  rec.virtual_finish = 13.75;
+  rec.worker = 3;
   rec.faults = 5u;
   rec.retries = 3;
   rec.retry_seconds = 0.875;
@@ -130,6 +140,12 @@ TEST(JournalLine, RoundTripsEveryField) {
   EXPECT_EQ(back.ckpt_read_cost, rec.ckpt_read_cost);
   EXPECT_EQ(back.ckpt_write_cost, rec.ckpt_write_cost);
   EXPECT_EQ(back.ckpt_bytes, rec.ckpt_bytes);
+  EXPECT_EQ(back.ckpt_write_charged, rec.ckpt_write_charged);
+  EXPECT_EQ(back.ckpt_read_wait, rec.ckpt_read_wait);
+  EXPECT_EQ(back.ckpt_available_at, rec.ckpt_available_at);
+  EXPECT_EQ(back.virtual_start, rec.virtual_start);
+  EXPECT_EQ(back.virtual_finish, rec.virtual_finish);
+  EXPECT_EQ(back.worker, rec.worker);
   EXPECT_EQ(back.faults, rec.faults);
   EXPECT_EQ(back.retries, rec.retries);
   EXPECT_EQ(back.retry_seconds, rec.retry_seconds);
@@ -139,9 +155,9 @@ TEST(JournalLine, RoundTripsEveryField) {
 
 TEST(JournalLine, AnyPayloadByteFlipIsCaughtByCrc) {
   const std::string line = record_to_journal_line(sample_record(), sample_state());
-  // Flip one bit in a sweep of payload positions (past the 24-byte frame
-  // header, before the closing "}\n").
-  for (std::size_t pos = 24; pos + 2 < line.size(); pos += 7) {
+  // Flip one bit in every payload byte: past the 8 CRC digits and their
+  // comma, before the newline.
+  for (std::size_t pos = 9; pos + 1 < line.size(); ++pos) {
     std::string bad = line;
     bad[pos] = static_cast<char>(bad[pos] ^ 0x01);
     EXPECT_THROW((void)journal_line_to_record(bad), std::runtime_error)
@@ -156,8 +172,19 @@ TEST(JournalLine, RejectsBrokenFraming) {
   EXPECT_THROW((void)journal_line_to_record(line.substr(0, line.size() / 2)),
                std::runtime_error);
   std::string bad = line;
-  bad[0] = '[';
+  bad[8] = ';';
   EXPECT_THROW((void)journal_line_to_record(bad), std::runtime_error);
+  // A correctly sealed payload whose row lacks a column is still refused.
+  const auto seal = [](const std::string& row) {
+    const std::string payload = rng_state_to_hex(sample_state()) + ',' + row;
+    char crc[9];
+    std::snprintf(crc, sizeof crc, "%08x", crc32(payload.data(), payload.size()));
+    return std::string(crc) + ',' + payload + '\n';
+  };
+  std::string row = trace_row(sample_record());
+  EXPECT_EQ(seal(row), line);
+  row.erase(row.rfind(','));
+  EXPECT_THROW((void)journal_line_to_record(seal(row)), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -186,7 +213,7 @@ TEST(Manifest, RoundTripsThroughJson) {
   EXPECT_EQ(m.config_hash, config_hash("mnist", cfg));
 
   const RunManifest back = parse_manifest(manifest_to_json(m));
-  EXPECT_EQ(back.version, 1);
+  EXPECT_EQ(back.version, 2);
   EXPECT_EQ(back.app, "mnist");
   EXPECT_EQ(back.config_hash, m.config_hash);
   EXPECT_EQ(back.cfg.mode, cfg.mode);
@@ -216,6 +243,22 @@ TEST(Manifest, ParseRejectsGarbage) {
   ASSERT_NE(pos, std::string::npos);
   bad.replace(pos, 7, "\"nonapp\"");
   EXPECT_THROW((void)parse_manifest(bad), std::runtime_error);
+}
+
+TEST(Manifest, RefusesAnOlderVersionByName) {
+  // A version-1 run directory journals JSON evaluator records; resuming it
+  // must fail on the manifest, not on the first journal line.
+  std::string old = manifest_to_json(make_manifest("mnist", sample_cfg()));
+  const auto pos = old.find("\"version\":2");
+  ASSERT_NE(pos, std::string::npos);
+  old.replace(pos, 11, "\"version\":1");
+  try {
+    (void)parse_manifest(old);
+    FAIL() << "expected parse_manifest to refuse version 1";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Manifest, WriteThenLoad) {

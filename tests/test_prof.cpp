@@ -523,7 +523,6 @@ TEST(CriticalPath, SpansCsvAndMemoryGiveOneInput) {
     tracer.clear();
 
     ASSERT_GT(trace.crashes.size(), 0u);
-    EXPECT_EQ(static_cast<long>(trace.crashes.size()), trace.crashed_attempts);
     std::stringstream csv;
     write_trace_csv(csv, trace);
     const prof::CriticalPathInput memory = critical_path_input(trace);

@@ -92,7 +92,6 @@ TEST(TraceIo, FaultFieldsAndCountersRoundTrip) {
   Trace original;
   original.num_workers = 2;
   original.makespan = 42.5;
-  original.crashed_attempts = 3;
   original.resubmissions = 2;
   original.lost_evaluations = 1;
   original.lost_train_seconds = 1.75;
@@ -114,6 +113,8 @@ TEST(TraceIo, FaultFieldsAndCountersRoundTrip) {
 
   std::stringstream ss;
   write_trace_csv(ss, original);
+  // The preamble still names the crash count; the reader counts crash lines.
+  EXPECT_NE(ss.str().find(", crashed_attempts=2,"), std::string::npos);
   const Trace restored = read_trace_csv(ss);
   ASSERT_EQ(restored.crashes.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
@@ -126,7 +127,6 @@ TEST(TraceIo, FaultFieldsAndCountersRoundTrip) {
     EXPECT_EQ(b.crash_at, a.crash_at);
     EXPECT_EQ(b.recovered_at, a.recovered_at);
   }
-  EXPECT_EQ(restored.crashed_attempts, 3);
   EXPECT_EQ(restored.resubmissions, 2);
   EXPECT_EQ(restored.lost_evaluations, 1);
   EXPECT_DOUBLE_EQ(restored.lost_train_seconds, 1.75);
