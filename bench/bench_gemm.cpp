@@ -4,7 +4,8 @@
 // Reports GFLOP/s for all three GEMM variants (single-threaded naive vs
 // blocked), thread scaling of the blocked path at 256^3, and the conv
 // forward/backward im2col-vs-direct comparison at one large shape and at
-// the shapes the search trains — all into
+// the shapes the search trains, and the Adam update (vector kernel vs scalar
+// loop) at the search's model sizes — all into
 // BENCH_bench_gemm.json via BenchResultFile.  Every timed pair is also
 // differentially checked (blocked output must equal the reference bit for
 // bit), so the bench doubles as a large-shape correctness harness.
@@ -390,6 +391,46 @@ void search_shape_study(bool smoke) {
   std::cout << "(the \"backward, no dx\" speedup is against the naive full backward)\n";
 }
 
+/// One Adam step over the median CIFAR, Uno and NT3 model sizes of a
+/// search: the vector kernel against the scalar reference loop, each
+/// stepping its own copy of w, m and v, which must end byte-identical.
+void search_optimizer_study(bool smoke) {
+  print_banner(std::cout, "Adam update at search model sizes, single thread (naive vs kernel)");
+  const int reps = smoke ? 20 : 200;
+  struct Model {
+    const char* name;
+    std::int64_t params;
+  };
+  const Model models[] = {{"cifar median", 13000}, {"uno median", 20000}, {"nt3 median", 196000}};
+  const k::AdamStep step{.alpha = 1e-3, .epsilon = 1e-7, .beta1 = 0.9f, .beta2 = 0.999f};
+  TableReport table({"model", "params", "naive ns/param", "kernel ns/param", "speedup"});
+  for (const Model& md : models) {
+    const std::int64_t n = md.params;
+    const auto g = random_vec(n, 25);
+    std::vector<float> w_naive = random_vec(n, 26);
+    std::vector<float> m_naive(w_naive.size(), 0.0f), v_naive(w_naive.size(), 0.0f);
+    std::vector<float> w_kernel = w_naive, m_kernel = m_naive, v_kernel = v_naive;
+    const auto [t_naive, t_kernel] = time_best_pair(
+        reps,
+        [&] {
+          k::naive::adam_update(w_naive.data(), g.data(), m_naive.data(), v_naive.data(), n,
+                                step);
+        },
+        [&] {
+          k::adam_update(w_kernel.data(), g.data(), m_kernel.data(), v_kernel.data(), n, step);
+        });
+    check_match(w_kernel, w_naive, std::string(md.name) + " adam w");
+    check_match(m_kernel, m_naive, std::string(md.name) + " adam m");
+    check_match(v_kernel, v_naive, std::string(md.name) + " adam v");
+    const auto ns = [n](double seconds) {
+      return TableReport::cell(seconds / static_cast<double>(n) * 1e9, 2);
+    };
+    table.add_row({md.name, std::to_string(n), ns(t_naive), ns(t_kernel),
+                   TableReport::cell(t_naive / t_kernel, 2) + "x"});
+  }
+  table.print(std::cout);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -411,9 +452,10 @@ int main(int argc, char** argv) {
   gemm_scaling_study(smoke);
   conv_study(smoke);
   search_shape_study(smoke);
+  search_optimizer_study(smoke);
   std::cout << (g_all_match
-                    ? "\nPASS: every blocked result is bit-identical to its reference.\n"
-                    : "\nFAIL: blocked kernels diverged from the naive reference.\n");
+                    ? "\nPASS: every kernel result is bit-identical to its reference.\n"
+                    : "\nFAIL: kernels diverged from the naive reference.\n");
   if (!g_gate_ok)
     std::cout << "FAIL: thread-scaling floor not met (see scaling study above).\n";
   return g_all_match && g_gate_ok ? 0 : 1;

@@ -13,23 +13,36 @@ namespace {
 constexpr std::uint32_t kMagic = 0x53575443;  // "SWTC"
 constexpr std::uint32_t kVersion = 2;
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables for the reflected CRC-32 polynomial: tables[0] is the
+/// bytewise table, and tables[k][i] is the CRC of byte i followed by k zero
+/// bytes, so one step folds eight input bytes with eight lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k)
+    for (std::size_t i = 0; i < 256; ++i) t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+  return t;
 }
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t len) noexcept {
-  static const auto table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    const std::uint32_t x = c ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+                                 std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24);
+    c = t[7][x & 0xFF] ^ t[6][(x >> 8) & 0xFF] ^ t[5][(x >> 16) & 0xFF] ^ t[4][x >> 24] ^
+        t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  }
+  for (; len > 0; ++p, --len) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "tensor/kernels.hpp"
+
 namespace swt {
 
 void Adam::step(std::vector<ParamRef>& params) {
@@ -16,30 +18,32 @@ void Adam::step(std::vector<ParamRef>& params) {
   }
   if (m_.size() != params.size())
     throw std::logic_error("Adam: parameter list changed between steps");
+  // The kernel reads and writes value.numel() elements of every buffer.
+  for (std::size_t pi = 0; pi < params.size(); ++pi) {
+    const ParamRef& p = params[pi];
+    if (!p.trainable || p.grad == nullptr) continue;
+    const Shape& shape = p.value->shape();
+    if (m_[pi].shape() != shape || v_[pi].shape() != shape)
+      throw std::logic_error("Adam: shape of parameter '" + p.name +
+                             "' changed between steps");
+    if (p.grad->shape() != shape)
+      throw std::logic_error("Adam: gradient of '" + p.name +
+                             "' does not match its parameter's shape");
+  }
   ++t_;
   const double bc1 = 1.0 - std::pow(cfg_.beta1, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(cfg_.beta2, static_cast<double>(t_));
-  const double alpha = cfg_.lr * std::sqrt(bc2) / bc1;
+  kernels::AdamStep step{.alpha = cfg_.lr * std::sqrt(bc2) / bc1,
+                         .epsilon = cfg_.epsilon,
+                         .beta1 = static_cast<float>(cfg_.beta1),
+                         .beta2 = static_cast<float>(cfg_.beta2)};
 
   for (std::size_t pi = 0; pi < params.size(); ++pi) {
     auto& p = params[pi];
     if (!p.trainable || p.grad == nullptr) continue;
-    Tensor& w = *p.value;
-    Tensor& g = *p.grad;
-    Tensor& m = m_[pi];
-    Tensor& v = v_[pi];
-    const float b1 = static_cast<float>(cfg_.beta1);
-    const float b2 = static_cast<float>(cfg_.beta2);
-    const float wd = p.weight_decay;
-    for (std::int64_t i = 0; i < w.numel(); ++i) {
-      const auto iz = static_cast<std::size_t>(i);
-      float grad = g[iz];
-      if (wd > 0.0f) grad += wd * w[iz];  // L2 regulariser contribution
-      m[iz] = b1 * m[iz] + (1.0f - b1) * grad;
-      v[iz] = b2 * v[iz] + (1.0f - b2) * grad * grad;
-      w[iz] -= static_cast<float>(alpha * m[iz] /
-                                  (std::sqrt(static_cast<double>(v[iz])) + cfg_.epsilon));
-    }
+    step.weight_decay = p.weight_decay;
+    kernels::adam_update(p.value->data(), p.grad->data(), m_[pi].data(), v_[pi].data(),
+                         p.value->numel(), step);
   }
 }
 

@@ -22,7 +22,10 @@ class Adam {
 
   /// One update over the given parameters.  The slot buffers are keyed by
   /// position, so the same Adam instance must always be stepped with the
-  /// same parameter list (one optimizer per model, as usual).
+  /// same parameter list (one optimizer per model, as usual).  Throws
+  /// std::logic_error, before updating anything, when the list's length or
+  /// a stepped tensor's shape changed, or a gradient's shape differs from
+  /// its parameter's.
   void step(std::vector<ParamRef>& params);
 
   [[nodiscard]] std::int64_t iterations() const noexcept { return t_; }

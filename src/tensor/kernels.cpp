@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -213,9 +214,9 @@ inline void timed(int64_t flops, Rec rec, prof::Phase phase, Fn&& fn) {
 // aggregate and spills it to the stack every k step, which is slower than
 // the naive loop.  Named vector locals are register-allocated like any
 // other scalar.  Lane arithmetic is element-wise float mul/add, so the
-// per-element chain is untouched (the TU is compiled -ffp-contract=off,
-// see src/tensor/CMakeLists.txt, making that true for the naive references
-// too — equality holds by construction, not by codegen accident).
+// per-element chain is untouched (every TU is compiled -ffp-contract=off,
+// see the top-level CMakeLists.txt, making that true for the naive
+// references too — equality holds by construction, not by codegen accident).
 
 constexpr int64_t MR = 4;    // micro-tile rows (broadcast reuse of a B row)
 constexpr int64_t NR = 16;   // widest lane vector; tiles are 32/16/8/4 columns
@@ -737,6 +738,46 @@ void conv_backward(const float* x, const float* w, const float* dy, float* dx,
 }
 
 // ---------------------------------------------------------------------------
+// Adam update
+// ---------------------------------------------------------------------------
+// Elementwise: a lane of any width runs one element's whole sequence, so the
+// vector loop is bit-identical to the scalar one.  GCC vectorizes it (packed
+// double sqrt and div) only because this TU is built -fno-math-errno: the
+// flag drops std::sqrt's errno write on negative input, and the square root
+// itself stays the same correctly rounded IEEE operation.  The weight-decay
+// test is hoisted out of the loop and the arrays are declared disjoint, so
+// an 8-element bias takes the vector loop too, with no alias check.
+
+namespace {
+
+template <bool kDecay>
+void adam_lanes(float* __restrict__ w, const float* __restrict__ g, float* __restrict__ m,
+                float* __restrict__ v, int64_t n, const AdamStep& step) {
+  const float b1 = step.beta1;
+  const float b2 = step.beta2;
+  const float wd = step.weight_decay;
+  const double alpha = step.alpha;
+  const double eps = step.epsilon;
+  for (int64_t i = 0; i < n; ++i) {
+    float grad = g[i];
+    if constexpr (kDecay) grad += wd * w[i];
+    m[i] = b1 * m[i] + (1.0f - b1) * grad;
+    v[i] = b2 * v[i] + (1.0f - b2) * grad * grad;
+    w[i] -= static_cast<float>(alpha * m[i] / (std::sqrt(static_cast<double>(v[i])) + eps));
+  }
+}
+
+}  // namespace
+
+void adam_update(float* w, const float* g, float* m, float* v, int64_t n,
+                 const AdamStep& step) {
+  if (step.weight_decay > 0.0f)
+    adam_lanes<true>(w, g, m, v, n, step);
+  else
+    adam_lanes<false>(w, g, m, v, n, step);
+}
+
+// ---------------------------------------------------------------------------
 // Reference kernels
 // ---------------------------------------------------------------------------
 
@@ -846,6 +887,27 @@ void conv_backward(const float* x, const float* w, const float* dy, float* dx,
         }
       }
     }
+  }
+}
+
+// The attribute keeps the reference scalar (one sqrtsd and one divsd per
+// element) under this TU's -fno-math-errno, so bench_gemm's naive column
+// times the scalar loop rather than a second copy of the kernel.
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("no-tree-vectorize")))
+#endif
+void adam_update(float* w, const float* g, float* m, float* v, int64_t n,
+                 const AdamStep& step) {
+  const float b1 = step.beta1;
+  const float b2 = step.beta2;
+  const float wd = step.weight_decay;
+  for (int64_t i = 0; i < n; ++i) {
+    float grad = g[i];
+    if (wd > 0.0f) grad += wd * w[i];  // L2 regulariser contribution
+    m[i] = b1 * m[i] + (1.0f - b1) * grad;
+    v[i] = b2 * v[i] + (1.0f - b2) * grad * grad;
+    w[i] -= static_cast<float>(step.alpha * m[i] /
+                               (std::sqrt(static_cast<double>(v[i])) + step.epsilon));
   }
 }
 

@@ -169,6 +169,28 @@ void conv_backward(const float* x, const float* w, const float* dy, float* dx,
 void im2col(const float* x, float* col, const ConvGeom& g);
 
 // ---------------------------------------------------------------------------
+// Optimizer update — elementwise Adam, serial on the calling thread
+// ---------------------------------------------------------------------------
+
+/// The scalars one Adam step applies to a parameter tensor.
+struct AdamStep {
+  double alpha = 0.0;  ///< lr * sqrt(1 - beta2^t) / (1 - beta1^t)
+  double epsilon = 0.0;
+  float beta1 = 0.0f;
+  float beta2 = 0.0f;
+  float weight_decay = 0.0f;  ///< L2 coefficient, added to the gradient when > 0
+};
+
+/// One Adam update of n elements: with grad = g (+ weight_decay * w),
+/// m = b1*m + (1-b1)*grad and v = b2*v + (1-b2)*grad*grad in float, then
+/// w -= float(alpha*m / (sqrt(double(v)) + epsilon)) with the quotient in
+/// double.  Every element runs that sequence in that order at any vector
+/// width, so the result is bit-identical to naive::adam_update.  The four
+/// arrays must not overlap.
+void adam_update(float* w, const float* g, float* m, float* v, std::int64_t n,
+                 const AdamStep& step);
+
+// ---------------------------------------------------------------------------
 // Reference kernels — the seed repo's loops, retained verbatim (minus the
 // data-dependent zero-skip) as the differential-test oracle.  Serial.
 // ---------------------------------------------------------------------------
@@ -187,6 +209,10 @@ void conv_forward(const float* x, const float* w, const float* bias, float* y,
                   const ConvGeom& g);
 void conv_backward(const float* x, const float* w, const float* dy, float* dx,
                    float* dw, float* db, const ConvGeom& g);
+
+/// The scalar Adam loop: one square root and one division per element.
+void adam_update(float* w, const float* g, float* m, float* v, std::int64_t n,
+                 const AdamStep& step);
 
 }  // namespace naive
 

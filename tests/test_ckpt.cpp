@@ -133,6 +133,25 @@ TEST(Crc32, KnownVector) {
 
 TEST(Crc32, EmptyIsZero) { EXPECT_EQ(crc32(nullptr, 0), 0u); }
 
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Bit-at-a-time CRC-32 over the same reflected polynomial.
+  const auto reference = [](const unsigned char* p, std::size_t len) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < len; ++i) {
+      c ^= p[i];
+      for (int bit = 0; bit < 8; ++bit) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  Rng rng(17);
+  std::vector<unsigned char> buf(208);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng());
+  for (std::size_t offset = 0; offset <= 8; ++offset)
+    for (std::size_t len = 0; len <= 200; ++len)
+      ASSERT_EQ(crc32(buf.data() + offset, len), reference(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+}
+
 TEST(Store, MemoryPutGetRoundTrip) {
   CheckpointStore store;
   const Checkpoint ckpt = sample_checkpoint();

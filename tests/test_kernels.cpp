@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -38,7 +39,8 @@ struct ThreadGuard {
 };
 
 /// Bit-exactness gate: memcmp first (the actual contract), elementwise only
-/// to produce a useful failure message when the bytes differ.
+/// to name the first element whose bytes differ (a NaN payload or a -0.0
+/// mismatch included).
 void expect_equal(const std::vector<float>& got, const std::vector<float>& want,
                   const char* what) {
   ASSERT_EQ(got.size(), want.size());
@@ -46,11 +48,12 @@ void expect_equal(const std::vector<float>& got, const std::vector<float>& want,
       std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) == 0)
     return;
   for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i], want[i]) << what << " diverges from reference at flat index "
-                               << i;
+    std::uint32_t g = 0, w = 0;
+    std::memcpy(&g, &got[i], sizeof g);
+    std::memcpy(&w, &want[i], sizeof w);
+    ASSERT_EQ(g, w) << what << " diverges from reference at flat index " << i << ": "
+                    << got[i] << " vs " << want[i];
   }
-  FAIL() << what << ": memcmp differs but no element compared unequal (NaN "
-            "payload or -0.0 mismatch)";
 }
 
 struct GemmShape {
@@ -429,6 +432,54 @@ TEST(Kernels, ZeroTimesNanPropagates) {
   const Tensor c_nt = matmul_nt(a, b);
   EXPECT_TRUE(std::isnan(c_nt.at(0, 0)));
   EXPECT_TRUE(std::isnan(c_nt.at(1, 0)));
+}
+
+// -----------------------------------------------------------------------
+// Adam update: the vector loop against the scalar reference, through the
+// values that take the update off its usual path.
+// -----------------------------------------------------------------------
+
+TEST(Kernels, AdamUpdateMatchesNaive) {
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -3e-39f,  // denormal
+                            1e30f,
+                            -1e30f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  constexpr std::size_t kSpecials = sizeof specials / sizeof specials[0];
+  for (const std::int64_t n : {0, 1, 3, 4, 7, 8, 15, 16, 17, 4099}) {
+    for (const float wd : {0.0f, 5e-4f}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " wd=" + std::to_string(wd));
+      const auto size = static_cast<std::size_t>(n);
+      std::vector<float> w = random_vec(n, 31);
+      std::vector<float> m(size, 0.0f), v(size, 0.0f);
+      std::vector<float> w_ref = w, m_ref = m, v_ref = v;
+      k::AdamStep step{.epsilon = 1e-7, .beta1 = 0.9f, .beta2 = 0.999f, .weight_decay = wd};
+      for (int t = 1; t <= 200; ++t) {
+        std::vector<float> g = random_vec(n, 1000 + static_cast<std::uint64_t>(t));
+        // Every fourth element takes a rotating special value; the rest stay
+        // finite, so most lanes keep exercising ordinary arithmetic.
+        for (std::size_t i = 0; i < size; i += 4)
+          g[i] = specials[(i / 4 + static_cast<std::size_t>(t)) % kSpecials];
+        step.alpha = 1e-3 * std::sqrt(1.0 - std::pow(0.999, t)) / (1.0 - std::pow(0.9, t));
+        k::adam_update(w.data(), g.data(), m.data(), v.data(), n, step);
+        k::naive::adam_update(w_ref.data(), g.data(), m_ref.data(), v_ref.data(), n, step);
+      }
+      // Any NaN matches any NaN.  When two NaNs meet in one add or
+      // multiply, x86 returns the first operand's, and the compiler orders
+      // commutative operands as it likes: an -O2 build returned the
+      // default -NaN where the reference kept the gradient's +NaN.
+      for (std::vector<float>* x : {&w, &w_ref, &m, &m_ref, &v, &v_ref})
+        for (float& e : *x)
+          if (std::isnan(e)) e = std::numeric_limits<float>::quiet_NaN();
+      expect_equal(w, w_ref, "adam w");
+      expect_equal(m, m_ref, "adam m");
+      expect_equal(v, v_ref, "adam v");
+    }
+  }
 }
 
 // -----------------------------------------------------------------------
