@@ -1,5 +1,6 @@
 // Convolution layers ("same" or "valid" padding, channels-last), lowered to
-// the blocked im2col + GEMM kernels in tensor/kernels.hpp.
+// the blocked kernels in tensor/kernels.hpp, whose GEMMs read the input's
+// patches through index tables.
 //
 // Conv2D: input (N, H, W, Cin), kernel (KH, KW, Cin, Cout).
 // Conv1D: input (N, L, Cin),    kernel (K, Cin, Cout).

@@ -1,6 +1,8 @@
 #include "nn/misc.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace swt {
@@ -44,7 +46,11 @@ Tensor Activation::backward(const Tensor& dy) {
   const std::int64_t n = dy.numel();
   switch (kind_) {
     case ActKind::kRelu:
-      for (std::int64_t i = 0; i < n; ++i) px[i] = pc[i] > 0.0f ? pd[i] : 0.0f;
+      // pd[i] is loaded on both arms, so the select compiles without a branch.
+      for (std::int64_t i = 0; i < n; ++i) {
+        const float d = pd[i];
+        px[i] = pc[i] > 0.0f ? d : 0.0f;
+      }
       break;
     case ActKind::kTanh:
       for (std::int64_t i = 0; i < n; ++i) px[i] = pd[i] * (1.0f - pc[i] * pc[i]);
@@ -73,13 +79,18 @@ Tensor Dropout::forward(const Tensor& x, bool train) {
     throw std::logic_error("Dropout: training forward without a train RNG set");
   const float keep_scale = 1.0f / static_cast<float>(1.0 - rate_);
   Tensor y(x.shape());
-  const std::int64_t n = x.numel();
-  mask_.assign(static_cast<std::size_t>(n), 0.0f);
-  for (std::int64_t i = 0; i < n; ++i) {
-    if (!rng_->bernoulli(rate_)) {
-      mask_[static_cast<std::size_t>(i)] = keep_scale;
-      y[static_cast<std::size_t>(i)] = x[static_cast<std::size_t>(i)] * keep_scale;
-    }
+  const auto n = static_cast<std::size_t>(x.numel());
+  mask_.resize(n);
+  const float* px = x.data();
+  float* py = y.data();
+  // One draw per element, in order.  `keep` is all ones for a kept element
+  // and zero for a dropped one, so and-ing the bits selects the value or
+  // +0.0f: a ternary here compiles back into a branch on the draw.
+  const auto scale_bits = std::bit_cast<std::uint32_t>(keep_scale);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t keep = 0u - static_cast<std::uint32_t>(!rng_->bernoulli(rate_));
+    mask_[i] = std::bit_cast<float>(scale_bits & keep);
+    py[i] = std::bit_cast<float>(std::bit_cast<std::uint32_t>(px[i] * keep_scale) & keep);
   }
   return y;
 }

@@ -1,6 +1,6 @@
 #include "nn/pool.hpp"
 
-#include <limits>
+#include <cmath>
 #include <stdexcept>
 
 namespace swt {
@@ -31,19 +31,28 @@ Tensor MaxPool2D::forward(const Tensor& x, bool /*train*/) {
     for (std::int64_t yo = 0; yo < oh; ++yo) {
       for (std::int64_t xo = 0; xo < ow; ++xo) {
         for (std::int64_t ci = 0; ci < c; ++ci, ++out_idx) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = 0;
+          const std::int64_t first = ((ni * h + yo * stride_) * w + xo * stride_) * c + ci;
+          float best = x[static_cast<std::size_t>(first)];
+          std::int64_t best_idx = first;
+          bool nan = false;
           for (std::int64_t ky = 0; ky < size_; ++ky) {
             for (std::int64_t kx = 0; kx < size_; ++kx) {
-              const std::int64_t yi = yo * stride_ + ky;
-              const std::int64_t xi = xo * stride_ + kx;
-              const std::int64_t flat = ((ni * h + yi) * w + xi) * c + ci;
+              const std::int64_t flat = first + (ky * w + kx) * c;
               const float v = x[static_cast<std::size_t>(flat)];
+              nan |= std::isnan(v);
               if (v > best) {
                 best = v;
                 best_idx = flat;
               }
             }
+          }
+          if (nan) {
+            for (std::int64_t ky = 0; ky < size_; ++ky)
+              for (std::int64_t kx = 0; kx < size_; ++kx)
+                if (const std::int64_t flat = first + (ky * w + kx) * c;
+                    std::isnan(x[static_cast<std::size_t>(flat)]))
+                  best_idx = flat;
+            best = x[static_cast<std::size_t>(best_idx)];
           }
           y[out_idx] = best;
           argmax_[out_idx] = best_idx;
@@ -84,16 +93,23 @@ Tensor MaxPool1D::forward(const Tensor& x, bool /*train*/) {
   for (std::int64_t ni = 0; ni < n; ++ni) {
     for (std::int64_t lo = 0; lo < olen; ++lo) {
       for (std::int64_t ci = 0; ci < c; ++ci, ++out_idx) {
-        float best = -std::numeric_limits<float>::infinity();
-        std::int64_t best_idx = 0;
+        const std::int64_t first = (ni * len + lo * stride_) * c + ci;
+        float best = x[static_cast<std::size_t>(first)];
+        std::int64_t best_idx = first;
+        bool nan = false;
         for (std::int64_t kk = 0; kk < size_; ++kk) {
-          const std::int64_t li = lo * stride_ + kk;
-          const std::int64_t flat = (ni * len + li) * c + ci;
+          const std::int64_t flat = first + kk * c;
           const float v = x[static_cast<std::size_t>(flat)];
+          nan |= std::isnan(v);
           if (v > best) {
             best = v;
             best_idx = flat;
           }
+        }
+        if (nan) {
+          for (std::int64_t flat = first; flat < first + size_ * c; flat += c)
+            if (std::isnan(x[static_cast<std::size_t>(flat)])) best_idx = flat;
+          best = x[static_cast<std::size_t>(best_idx)];
         }
         y[out_idx] = best;
         argmax_[out_idx] = best_idx;

@@ -136,23 +136,29 @@ void record_conv(double seconds, int64_t flops) noexcept {
   flops_c.add(flops);
 }
 
+/// Kernels of at least this many FLOPs are bracketed with resource counters
+/// in timed().  It sits below kParallelFlopThreshold so that prof.conv.* and
+/// prof.gemm.* still cover the search's 1-10 MFLOP kernels, which all run
+/// serially.
+constexpr int64_t kCounterFlopThreshold = int64_t{1} << 20;
+
 /// Times `fn` into the given recorder only when metrics are on (two clock
-/// reads per kernel call, skipped entirely otherwise).  Kernels big enough
-/// to parallelize additionally bracket the call with the calling thread's
-/// resource counters — plus the per-worker deltas dispatch_tiles folded
-/// into tl_remote — so achieved GF/s and IPC per phase cover every thread
-/// that did work; small kernels keep the historical two-clock-read path so
-/// the bench_overhead gate is unaffected by thousands of tiny calls per
-/// second.  FLOP-annotated wall spans are emitted only while the sampling
-/// profiler is live — a plain --trace-out run produces exactly the spans it
-/// used to.
+/// reads per kernel call, skipped entirely otherwise).  Kernels from
+/// kCounterFlopThreshold up additionally bracket the call with the calling
+/// thread's resource counters — plus the per-worker deltas dispatch_tiles
+/// folded into tl_remote — so achieved GF/s and IPC per phase cover every
+/// thread that did work; small kernels keep the historical two-clock-read
+/// path so the bench_overhead gate is unaffected by thousands of tiny calls
+/// per second.  FLOP-annotated wall spans are emitted only while the
+/// sampling profiler is live — a plain --trace-out run produces exactly the
+/// spans it used to.
 template <typename Fn, typename Rec>
 inline void timed(int64_t flops, Rec rec, prof::Phase phase, Fn&& fn) {
   if (!metrics_enabled()) {
     fn();
     return;
   }
-  if (flops < kParallelFlopThreshold) {
+  if (flops < kCounterFlopThreshold) {
     const WallTimer timer;
     fn();
     rec(timer.seconds(), flops);
@@ -224,9 +230,9 @@ constexpr int64_t KC = 128;  // k panel
 constexpr int64_t NC = 128;  // column panel: KC*NC*4 B = 64 KiB of B stays hot
 constexpr int64_t MC = 64;   // tile rows: MC*KC*4 B = 32 KiB of packed A
 /// Largest row-major A (m * k floats, 1 MiB) a narrow tile reads in place
-/// when k > KC; larger ones are packed.  Read in place, bench_gemm's
-/// 8192 x 144 conv-study A (4.5 MiB) ran 9-24 % slower than packed, while
-/// the search's A (up to 1024 x 216) ran as fast or faster.
+/// when k > KC; larger ones are packed.  Read in place, an 8192 x 144 A
+/// (4.5 MiB) ran 9-24 % slower than packed, while A up to 1024 x 216 ran as
+/// fast or faster.
 constexpr int64_t kNarrowInPlaceA = int64_t{1} << 18;
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -249,18 +255,48 @@ inline void store_v(float* p, const V& v) {
   std::memcpy(p, &v, sizeof v);
 }
 
+/// Where op(A)'s element (r, kk) lives, relative to a tile's origin.
+///  * kRowMajor: a[r * ld + kk] — nn, nt and every packed panel;
+///  * kColMajor: a[kk * ld + r] — tn's A read in place;
+///  * kIndexed:  a[rows[r] + cols[kk]] — a convolution's patch matrix read
+///    through its index tables (PatchTables).  The forward passes rows =
+///    base, cols = off; dw += col^T * dy passes them swapped.
+enum class AMode { kRowMajor, kColMajor, kIndexed };
+
+struct AOperand {
+  AMode mode;
+  const float* a;
+  int64_t ld = 0;                 // the strided modes
+  const int64_t* rows = nullptr;  // kIndexed
+  const int64_t* cols = nullptr;
+
+  /// The same operand with its origin moved to (r, kk).
+  [[nodiscard]] AOperand at(int64_t r, int64_t kk) const {
+    switch (mode) {
+      case AMode::kRowMajor: return {mode, a + r * ld + kk, ld};
+      case AMode::kColMajor: return {mode, a + kk * ld + r, ld};
+      case AMode::kIndexed: break;
+    }
+    return {mode, a, ld, rows + r, cols + kk};
+  }
+};
+
 /// MRC x (NV * lanes of V) tile of C at `c` (row stride ldc), accumulated
-/// over k in [0, klen): `a` points at the tile's first row of op(A), `b` at
-/// its first column of the B panel (row stride ldb).  Each A scalar is
-/// broadcast against NV vectors of one B row.  Element (r, kk) of op(A)
-/// lives at a[r * lda + kk] (row-major: nn, nt and every packed panel) or,
-/// with kColMajor, at a[kk * lda + r] (tn's A read in place).  The unit
-/// stride is a compile-time constant either way, so each instantiation
-/// indexes A with a single runtime stride.
-template <typename V, int NV, int MRC, bool kColMajor>
-inline void micro(const float* __restrict__ a, int64_t lda, const float* __restrict__ b,
-                  int64_t ldb, float* __restrict__ c, int64_t ldc, int64_t klen) {
+/// over k in [0, klen): `a` has its origin at the tile's first row of
+/// op(A), `b` points at its first column of the B panel (row stride ldb).
+/// Each A scalar is broadcast against NV vectors of one B row.  The A mode
+/// is a compile-time constant, so each instantiation indexes A with a single
+/// runtime stride (or, indexed, one table load per k step shared by the
+/// rows, whose table entries are loaded once per tile).
+template <typename V, int NV, int MRC, AMode M>
+inline void micro(const AOperand& a, const float* __restrict__ b, int64_t ldb,
+                  float* __restrict__ c, int64_t ldc, int64_t klen) {
   constexpr int64_t L = sizeof(V) / sizeof(float);
+  const float* __restrict__ ap = a.a;
+  const int64_t lda = a.ld;
+  const float* arow[MRC];
+  if constexpr (M == AMode::kIndexed)
+    for (int r = 0; r < MRC; ++r) arow[r] = ap + a.rows[r];
   V acc[MRC][NV];
   for (int r = 0; r < MRC; ++r)
     for (int v = 0; v < NV; ++v) acc[r][v] = load_v<V>(c + r * ldc + v * L);
@@ -268,7 +304,13 @@ inline void micro(const float* __restrict__ a, int64_t lda, const float* __restr
     V bv[NV];
     for (int v = 0; v < NV; ++v) bv[v] = load_v<V>(b + kk * ldb + v * L);
     for (int r = 0; r < MRC; ++r) {
-      const float av = kColMajor ? a[kk * lda + r] : a[r * lda + kk];
+      float av;
+      if constexpr (M == AMode::kRowMajor)
+        av = ap[r * lda + kk];
+      else if constexpr (M == AMode::kColMajor)
+        av = ap[kk * lda + r];
+      else
+        av = arow[r][a.cols[kk]];
       for (int v = 0; v < NV; ++v) acc[r][v] += av * bv[v];
     }
   }
@@ -278,51 +320,49 @@ inline void micro(const float* __restrict__ a, int64_t lda, const float* __restr
 
 /// Covers columns [j, nlen) of `rows` rows with NV x V micro-tiles while a
 /// whole tile fits; returns the first column left over.
-template <typename V, int NV, bool kColMajor>
-int64_t micro_columns(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
-                      int64_t ldc, int64_t rows, int64_t j, int64_t nlen, int64_t klen) {
+template <typename V, int NV, AMode M>
+int64_t micro_columns(const AOperand& a, const float* b, int64_t ldb, float* c, int64_t ldc,
+                      int64_t rows, int64_t j, int64_t nlen, int64_t klen) {
   constexpr int64_t W = NV * static_cast<int64_t>(sizeof(V) / sizeof(float));
   for (; j + W <= nlen; j += W) {
     switch (rows) {
-      case 4: micro<V, NV, 4, kColMajor>(a, lda, b + j, ldb, c + j, ldc, klen); break;
-      case 3: micro<V, NV, 3, kColMajor>(a, lda, b + j, ldb, c + j, ldc, klen); break;
-      case 2: micro<V, NV, 2, kColMajor>(a, lda, b + j, ldb, c + j, ldc, klen); break;
-      default: micro<V, NV, 1, kColMajor>(a, lda, b + j, ldb, c + j, ldc, klen); break;
+      case 4: micro<V, NV, 4, M>(a, b + j, ldb, c + j, ldc, klen); break;
+      case 3: micro<V, NV, 3, M>(a, b + j, ldb, c + j, ldc, klen); break;
+      case 2: micro<V, NV, 2, M>(a, b + j, ldb, c + j, ldc, klen); break;
+      default: micro<V, NV, 1, M>(a, b + j, ldb, c + j, ldc, klen); break;
     }
   }
   return j;
 }
 
 /// One (mlen x nlen) C tile accumulated over one k panel of klen.  `c`
-/// points at the tile origin inside the full C (row stride ldc); `a` at
-/// op(A)'s (tile row 0, panel k 0) and `b` at the B panel's origin (row
-/// stride ldb), packed or in place.  Columns go to the widest tile that
-/// fits — 32, 16, 8, then 4 lanes — and the last n % 4 to one-lane tiles.
-template <bool kColMajor>
-void tile_panel(const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
-                int64_t ldc, int64_t mlen, int64_t nlen, int64_t klen) {
+/// points at the tile origin inside the full C (row stride ldc); `a` has its
+/// origin at op(A)'s (tile row 0, panel k 0) and `b` points at the B panel's
+/// origin (row stride ldb), packed or in place.  Columns go to the widest
+/// tile that fits — 32, 16, 8, then 4 lanes — and the last n % 4 to
+/// one-lane tiles.
+template <AMode M>
+void tile_panel(const AOperand& a, const float* b, int64_t ldb, float* c, int64_t ldc,
+                int64_t mlen, int64_t nlen, int64_t klen) {
   for (int64_t i = 0; i < mlen; i += MR) {
     const int64_t rows = std::min(MR, mlen - i);
-    const float* ai = kColMajor ? a + i : a + i * lda;
+    const AOperand ai = a.at(i, 0);
     float* ci = c + i * ldc;
     int64_t j = 0;
 #ifdef SWT_VEC_EXT
-    j = micro_columns<vf16, 2, kColMajor>(ai, lda, b, ldb, ci, ldc, rows, j, nlen, klen);
-    j = micro_columns<vf16, 1, kColMajor>(ai, lda, b, ldb, ci, ldc, rows, j, nlen, klen);
-    j = micro_columns<vf8, 1, kColMajor>(ai, lda, b, ldb, ci, ldc, rows, j, nlen, klen);
-    j = micro_columns<vf4, 1, kColMajor>(ai, lda, b, ldb, ci, ldc, rows, j, nlen, klen);
+    j = micro_columns<vf16, 2, M>(ai, b, ldb, ci, ldc, rows, j, nlen, klen);
+    j = micro_columns<vf16, 1, M>(ai, b, ldb, ci, ldc, rows, j, nlen, klen);
+    j = micro_columns<vf8, 1, M>(ai, b, ldb, ci, ldc, rows, j, nlen, klen);
+    j = micro_columns<vf4, 1, M>(ai, b, ldb, ci, ldc, rows, j, nlen, klen);
 #endif
-    micro_columns<float, 1, kColMajor>(ai, lda, b, ldb, ci, ldc, rows, j, nlen, klen);
+    micro_columns<float, 1, M>(ai, b, ldb, ci, ldc, rows, j, nlen, klen);
   }
 }
 
 /// Everything one GEMM call needs, independent of which worker runs a tile.
-/// `a_trans`: A is stored (k, m) with row stride lda (the tn variant);
 /// `b_trans`: B is stored (n, k) with row stride ldb (the nt variant).
 struct GemmSpec {
-  const float* a;
-  int64_t lda;
-  bool a_trans;
+  AOperand a;
   const float* b;
   int64_t ldb;
   bool b_trans;
@@ -353,17 +393,23 @@ PackBuffers& pack_buffers() {
 /// Pack op(A)[i0 : i0+mlen, k0 : k0+klen] row-major into dst (stride klen).
 void pack_a(const GemmSpec& s, float* dst, int64_t i0, int64_t mlen, int64_t k0,
             int64_t klen) {
-  if (!s.a_trans) {
-    for (int64_t r = 0; r < mlen; ++r) {
-      const float* src = s.a + (i0 + r) * s.lda + k0;
-      std::copy(src, src + klen, dst + r * klen);
-    }
-  } else {
-    // A stored (k, m): read rows of A (contiguous), scatter into columns.
-    for (int64_t kk = 0; kk < klen; ++kk) {
-      const float* src = s.a + (k0 + kk) * s.lda + i0;
-      for (int64_t r = 0; r < mlen; ++r) dst[r * klen + kk] = src[r];
-    }
+  const AOperand a = s.a.at(i0, k0);
+  switch (a.mode) {
+    case AMode::kRowMajor:
+      for (int64_t r = 0; r < mlen; ++r)
+        std::copy(a.a + r * a.ld, a.a + r * a.ld + klen, dst + r * klen);
+      break;
+    case AMode::kColMajor:
+      // A stored (k, m): read rows of A (contiguous), scatter into columns.
+      for (int64_t kk = 0; kk < klen; ++kk)
+        for (int64_t r = 0; r < mlen; ++r) dst[r * klen + kk] = a.a[kk * a.ld + r];
+      break;
+    case AMode::kIndexed:
+      for (int64_t r = 0; r < mlen; ++r) {
+        const float* row = a.a + a.rows[r];
+        for (int64_t kk = 0; kk < klen; ++kk) dst[r * klen + kk] = row[a.cols[kk]];
+      }
+      break;
   }
 }
 
@@ -406,9 +452,11 @@ void pack_b(const GemmSpec& s, float* dst, int64_t k0, int64_t klen, int64_t j0,
 ///  * A for narrow tiles (nlen <= 2 * NR): a packed A panel would serve at
 ///    most two micro-tile columns, so the copy costs about as much as the
 ///    reads it would speed up.  tn then reads A(k, m) column-wise, which
-///    drops the transposing pack from conv's dw += col^T * dy and Dense's
-///    dw += x^T * dy.  A row-major A with k > KC qualifies only up to
-///    kNarrowInPlaceA floats.
+///    drops the transposing pack from Dense's dw += x^T * dy, and a
+///    convolution reads its indexed patch matrix straight from the padded
+///    input.  A row-major A with k > KC qualifies only up to
+///    kNarrowInPlaceA floats.  Wider tiles pack A, gathering an indexed one
+///    through its tables.
 void gemm_tile_range(const GemmSpec& s, int64_t tiles_m, int64_t lo, int64_t hi) {
   PackBuffers& bufs = pack_buffers();
   const bool b_in_place = !s.b_trans && s.n <= NC && (s.n <= 2 * NR || s.m <= MC);
@@ -434,8 +482,9 @@ void gemm_tile_range(const GemmSpec& s, int64_t tiles_m, int64_t lo, int64_t hi)
       continue;
     }
     const bool narrow = nlen <= 2 * NR;
-    const bool a_in_place =
-        s.a_trans ? narrow : s.k <= KC || (narrow && s.m * s.k <= kNarrowInPlaceA);
+    const bool a_in_place = s.a.mode != AMode::kRowMajor
+                                ? narrow
+                                : s.k <= KC || (narrow && s.m * s.k <= kNarrowInPlaceA);
     for (int64_t kc = 0; kc < s.k; kc += KC) {
       const int64_t klen = std::min(KC, s.k - kc);
       const float* bp = s.b + kc * s.ldb + j0;
@@ -455,13 +504,21 @@ void gemm_tile_range(const GemmSpec& s, int64_t tiles_m, int64_t lo, int64_t hi)
         }
         if (!a_in_place) {
           pack_a(s, bufs.a.data(), i0, mlen, kc, klen);
-          tile_panel<false>(bufs.a.data(), klen, bp, ldb, ctile, s.n, mlen, nlen, klen);
-        } else if (s.a_trans) {
-          tile_panel<true>(s.a + kc * s.lda + i0, s.lda, bp, ldb, ctile, s.n, mlen, nlen,
-                           klen);
-        } else {
-          tile_panel<false>(s.a + i0 * s.lda + kc, s.lda, bp, ldb, ctile, s.n, mlen, nlen,
-                            klen);
+          tile_panel<AMode::kRowMajor>({AMode::kRowMajor, bufs.a.data(), klen}, bp, ldb,
+                                       ctile, s.n, mlen, nlen, klen);
+          continue;
+        }
+        const AOperand a = s.a.at(i0, kc);
+        switch (a.mode) {
+          case AMode::kRowMajor:
+            tile_panel<AMode::kRowMajor>(a, bp, ldb, ctile, s.n, mlen, nlen, klen);
+            break;
+          case AMode::kColMajor:
+            tile_panel<AMode::kColMajor>(a, bp, ldb, ctile, s.n, mlen, nlen, klen);
+            break;
+          case AMode::kIndexed:
+            tile_panel<AMode::kIndexed>(a, bp, ldb, ctile, s.n, mlen, nlen, klen);
+            break;
         }
       }
     }
@@ -469,39 +526,33 @@ void gemm_tile_range(const GemmSpec& s, int64_t tiles_m, int64_t lo, int64_t hi)
   }
 }
 
-void gemm_2d(const GemmSpec& s, int64_t flops) {
-  const int64_t tiles_m = (s.m + MC - 1) / MC;
-  const int64_t tiles_n = (s.n + NC - 1) / NC;
-  dispatch_tiles(tiles_m * tiles_n, static_cast<double>(flops),
-                 [&s, tiles_m](int64_t lo, int64_t hi) {
-                   gemm_tile_range(s, tiles_m, lo, hi);
-                 });
+/// Every GEMM, the two inside a convolution's forward and dw included, is
+/// timed as one matmul and tiled over the pool above the FLOP cut.
+void gemm(const GemmSpec& s) {
+  if (s.m <= 0 || s.n <= 0) return;
+  const int64_t flops = 2 * s.m * s.n * s.k;
+  timed(flops, record_matmul, prof::Phase::kGemm, [&] {
+    const int64_t tiles_m = (s.m + MC - 1) / MC;
+    const int64_t tiles_n = (s.n + NC - 1) / NC;
+    dispatch_tiles(tiles_m * tiles_n, static_cast<double>(flops),
+                   [&s, tiles_m](int64_t lo, int64_t hi) {
+                     gemm_tile_range(s, tiles_m, lo, hi);
+                   });
+  });
 }
 
 // ---------------------------------------------------------------------------
 // Convolution helpers
 // ---------------------------------------------------------------------------
 
-/// Thread-local scratch: convs reuse these across calls instead of
-/// allocating a patch matrix per forward/backward.
+/// Thread-local scratch, reused across calls instead of allocated per
+/// forward/backward: slot 0 holds the padded input, slot 1 the dx path's
+/// dcol.
 std::vector<float>& scratch(std::size_t slot, std::size_t size) {
   thread_local std::vector<float> buffers[2];
   std::vector<float>& buf = buffers[slot];
   if (buf.size() < size) buf.resize(size);
   return buf;
-}
-
-/// Copies n floats in constant-size chunks, so the copy stays inline: at
-/// im2col's run lengths (a few to a few dozen floats) the library call a
-/// variable-length std::copy becomes costs more than the copy itself.
-inline void copy_run(const float* src, int64_t n, float* dst) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) std::memcpy(dst + i, src + i, 8 * sizeof(float));
-  if (i + 4 <= n) {
-    std::memcpy(dst + i, src + i, 4 * sizeof(float));
-    i += 4;
-  }
-  for (; i < n; ++i) dst[i] = src[i];
 }
 
 /// Taps [lo, hi) of one kernel axis (k taps, tap 0 at input coordinate x0)
@@ -514,42 +565,9 @@ inline TapRange in_image_taps(int64_t x0, int64_t k, int64_t extent) {
   return {lo, std::clamp<int64_t>(extent - x0, lo, k)};
 }
 
-/// im2col for patch rows [p_lo, p_hi).  Channels-last storage makes the
-/// in-image taps of one kernel row a single contiguous run of the input
-/// row, so a patch is one zero fill (only when it overlaps the padding)
-/// plus one copy per in-image kernel row.  The tap ranges are fixed per
-/// patch; the patch coordinates advance incrementally (no division per
-/// patch).
-void im2col_rows(const float* x, float* col, const ConvGeom& g, int64_t p_lo,
-                 int64_t p_hi) {
-  const int64_t r_cols = g.patch_cols();
-  const int64_t run = g.kw * g.cin;
-  int64_t xo = p_lo % g.ow;
-  int64_t yo = (p_lo / g.ow) % g.oh;
-  int64_t ni = p_lo / (g.ow * g.oh);
-  for (int64_t p = p_lo; p < p_hi; ++p) {
-    const int64_t x0 = xo * g.stride - g.pad_w;  // input coordinates of tap (0, 0)
-    const int64_t y0 = yo * g.stride - g.pad_h;
-    const TapRange kw = in_image_taps(x0, g.kw, g.w);
-    const TapRange kh = in_image_taps(y0, g.kh, g.h);
-    float* row = col + p * r_cols;
-    if (kw.hi - kw.lo < g.kw || kh.hi - kh.lo < g.kh) std::fill(row, row + r_cols, 0.0f);
-    const int64_t body = (kw.hi - kw.lo) * g.cin;
-    for (int64_t r = kh.lo; r < kh.hi; ++r)
-      copy_run(x + ((ni * g.h + y0 + r) * g.w + x0 + kw.lo) * g.cin, body,
-               row + r * run + kw.lo * g.cin);
-    if (++xo == g.ow) {
-      xo = 0;
-      if (++yo == g.oh) {
-        yo = 0;
-        ++ni;
-      }
-    }
-  }
-}
-
 /// Scatter-add dcol back into dx for images [n_lo, n_hi), one run per
-/// in-image kernel row, as im2col_rows copies them.  Partitioned
+/// in-image kernel row (channels-last storage makes the in-image taps of a
+/// kernel row one contiguous run of the input row).  Partitioned
 /// by image: patches of different images never overlap in dx.  Within an
 /// image each dx element receives at most one term per patch, in ascending
 /// patch order — the naive backward loop's order.
@@ -635,29 +653,17 @@ ScopedSerialKernels::~ScopedSerialKernels() { tl_in_compute_chunk = prev_; }
 
 void gemm_nn(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
              bool accumulate) {
-  if (m <= 0 || n <= 0) return;
-  const int64_t flops = 2 * m * n * k;
-  timed(flops, record_matmul, prof::Phase::kGemm, [&] {
-    gemm_2d({a, k, false, b, n, false, c, m, n, k, accumulate}, flops);
-  });
+  gemm({{AMode::kRowMajor, a, k}, b, n, false, c, m, n, k, accumulate});
 }
 
 void gemm_tn(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
              bool accumulate) {
-  if (m <= 0 || n <= 0) return;
-  const int64_t flops = 2 * m * n * k;
-  timed(flops, record_matmul, prof::Phase::kGemm, [&] {
-    gemm_2d({a, m, true, b, n, false, c, m, n, k, accumulate}, flops);
-  });
+  gemm({{AMode::kColMajor, a, m}, b, n, false, c, m, n, k, accumulate});
 }
 
 void gemm_nt(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
              bool accumulate) {
-  if (m <= 0 || n <= 0) return;
-  const int64_t flops = 2 * m * n * k;
-  timed(flops, record_matmul, prof::Phase::kGemm, [&] {
-    gemm_2d({a, k, false, b, k, true, c, m, n, k, accumulate}, flops);
-  });
+  gemm({{AMode::kRowMajor, a, k}, b, k, true, c, m, n, k, accumulate});
 }
 
 ConvGeom conv1d_geom(int64_t n, int64_t len, int64_t cin, int64_t k, int64_t cout,
@@ -678,12 +684,38 @@ ConvGeom conv1d_geom(int64_t n, int64_t len, int64_t cin, int64_t k, int64_t cou
   return g;
 }
 
-void im2col(const float* x, float* col, const ConvGeom& g) {
+PatchTables patch_tables(const float* x, const ConvGeom& g) {
+  // Rows and columns the taps reach, and never fewer than the input needs:
+  // trailing padding can exceed the leading one ("same" at stride 2 on an
+  // even input), and a strided "valid" conv can leave input rows unread.
+  const int64_t hp = std::max((g.oh - 1) * g.stride + g.kh, g.h + g.pad_h);
+  const int64_t wp = std::max((g.ow - 1) * g.stride + g.kw, g.w + g.pad_w);
+  const float* xpad = x;
+  if (hp != g.h || wp != g.w) {
+    const auto size = static_cast<std::size_t>(g.n * hp * wp * g.cin);
+    float* buf = scratch(0, size).data();
+    std::fill(buf, buf + size, 0.0f);
+    const int64_t row = g.w * g.cin;
+    for (int64_t ni = 0; ni < g.n; ++ni)
+      for (int64_t yi = 0; yi < g.h; ++yi)
+        std::copy_n(x + (ni * g.h + yi) * row, row,
+                    buf + ((ni * hp + yi + g.pad_h) * wp + g.pad_w) * g.cin);
+    xpad = buf;
+  }
+  thread_local std::vector<int64_t> tables;
   const int64_t rows = g.patch_rows();
-  // Copy work, not FLOPs; priced as one "op" per moved float for the
-  // serial-threshold heuristic.  One tile = one patch row.
-  dispatch_tiles(rows, static_cast<double>(rows * g.patch_cols()),
-                 [&](int64_t lo, int64_t hi) { im2col_rows(x, col, g, lo, hi); });
+  const auto entries = static_cast<std::size_t>(rows + g.patch_cols());
+  if (tables.size() < entries) tables.resize(entries);
+  int64_t* base = tables.data();
+  int64_t* off = base + rows;
+  for (int64_t ni = 0; ni < g.n; ++ni)
+    for (int64_t yo = 0; yo < g.oh; ++yo)
+      for (int64_t xo = 0; xo < g.ow; ++xo)
+        *base++ = ((ni * hp + yo * g.stride) * wp + xo * g.stride) * g.cin;
+  for (int64_t kh = 0; kh < g.kh; ++kh)
+    for (int64_t kw = 0; kw < g.kw; ++kw)
+      for (int64_t ic = 0; ic < g.cin; ++ic) *off++ = (kh * wp + kw) * g.cin + ic;
+  return {xpad, tables.data(), tables.data() + rows};
 }
 
 void conv_forward(const float* x, const float* w, const float* bias, float* y,
@@ -691,8 +723,7 @@ void conv_forward(const float* x, const float* w, const float* bias, float* y,
   const int64_t rows = g.patch_rows();
   if (rows <= 0 || g.cout <= 0) return;
   timed(g.flops(), record_conv, prof::Phase::kConv, [&] {
-    std::vector<float>& col = scratch(0, static_cast<std::size_t>(rows * g.patch_cols()));
-    im2col(x, col.data(), g);
+    const PatchTables col = patch_tables(x, g);
     // Bias heads each output element's accumulation chain, exactly like the
     // naive direct loop's `out[oc] = b[oc]` initialisation.
     for (int64_t p = 0; p < rows; ++p) {
@@ -702,7 +733,9 @@ void conv_forward(const float* x, const float* w, const float* bias, float* y,
       else
         std::fill(yrow, yrow + g.cout, 0.0f);
     }
-    gemm_nn(col.data(), w, y, rows, g.cout, g.patch_cols(), /*accumulate=*/true);
+    // y += col * w, col(p, t) = xpad[base[p] + off[t]].
+    gemm({{AMode::kIndexed, col.xpad, 0, col.base, col.off}, w, g.cout, false, y, rows,
+          g.cout, g.patch_cols(), /*accumulate=*/true});
   });
 }
 
@@ -714,8 +747,6 @@ void conv_backward(const float* x, const float* w, const float* dy, float* dx,
   const int64_t flops = dx != nullptr ? 2 * g.flops() : g.flops();
   timed(flops, record_conv, prof::Phase::kConv, [&] {
     const int64_t r_cols = g.patch_cols();
-    std::vector<float>& col = scratch(0, static_cast<std::size_t>(rows * r_cols));
-    im2col(x, col.data(), g);
     // db: patch-ascending, matching the naive (ni, yo, xo) loop order.
     if (db != nullptr) {
       for (int64_t p = 0; p < rows; ++p) {
@@ -724,7 +755,10 @@ void conv_backward(const float* x, const float* w, const float* dy, float* dx,
       }
     }
     // dw += col^T * dy — each kernel entry sums over patches ascending.
-    gemm_tn(col.data(), dy, dw, r_cols, g.cout, rows, /*accumulate=*/true);
+    // op(A)(t, p) = col(p, t) = xpad[off[t] + base[p]]: the tables swapped.
+    const PatchTables col = patch_tables(x, g);
+    gemm({{AMode::kIndexed, col.xpad, 0, col.off, col.base}, dy, g.cout, false, dw, r_cols,
+          g.cout, rows, /*accumulate=*/true});
     if (dx == nullptr) return;
     // dcol = dy * w^T, then scattered back into dx per image.
     std::vector<float>& dcol = scratch(1, static_cast<std::size_t>(rows * r_cols));

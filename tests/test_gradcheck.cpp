@@ -116,7 +116,7 @@ TEST(GradCheck, Conv1DStack) {
   EXPECT_TRUE(r.passed) << "worst " << r.worst_param << " rel " << r.max_rel_err;
 }
 
-// Strided convs exercise the im2col path's stride/pad geometry: output taps
+// Strided convs exercise the patch tables' stride/pad geometry: output taps
 // sample non-contiguous input windows and "same" padding is asymmetric.
 TEST(GradCheck, Conv2DStride2Same) {
   std::vector<LayerPtr> layers;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
@@ -171,6 +173,58 @@ TEST(MaxPool1D, StrideAndWindow) {
   EXPECT_FLOAT_EQ(y.at(0, 2, 0), 9.0f);
 }
 
+// Windows with no value above -inf, or with a NaN, must keep their
+// gradient inside the window.  Image 1 of each input holds the window under
+// test; image 0 is finite, so a gradient leaking to flat index 0 shows.
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+
+struct PoolWindowCase {
+  const char* name;
+  float window[4];
+  bool nan_out;             // the window's output is NaN
+  std::int64_t grad_tap;    // tap of the window that receives its gradient
+};
+
+const PoolWindowCase kPoolWindowCases[] = {
+    {"all -inf", {-kInf, -kInf, -kInf, -kInf}, false, 0},
+    {"all NaN", {kNan, kNan, kNan, kNan}, true, 3},
+    {"one NaN", {1.0f, kNan, 3.0f, 2.0f}, true, 1},
+};
+
+void expect_window_routing(Layer& pool, const Shape& shape, const PoolWindowCase& c) {
+  SCOPED_TRACE(c.name);
+  std::vector<float> data = {1, 4, 3, 2};
+  data.insert(data.end(), c.window, c.window + 4);
+  const Tensor y = pool.forward(Tensor(shape, data), false);
+  ASSERT_EQ(y.numel(), 2);
+  EXPECT_EQ(y[0], 4.0f);
+  if (c.nan_out)
+    EXPECT_TRUE(std::isnan(y[1])) << y[1];
+  else
+    EXPECT_EQ(y[1], -kInf);
+  Tensor dy(y.shape(), {1.0f, 100.0f});
+  const Tensor dx = pool.backward(dy);
+  for (std::int64_t i = 0; i < 8; ++i) {
+    const float want = i == 1 ? 1.0f : i == 4 + c.grad_tap ? 100.0f : 0.0f;
+    EXPECT_EQ(want, dx[static_cast<std::size_t>(i)]) << "dx[" << i << "]";
+  }
+}
+
+TEST(MaxPool2D, GradientStaysInsideItsWindow) {
+  for (const PoolWindowCase& c : kPoolWindowCases) {
+    MaxPool2D pool(2, 2);
+    expect_window_routing(pool, Shape{2, 2, 2, 1}, c);
+  }
+}
+
+TEST(MaxPool1D, GradientStaysInsideItsWindow) {
+  for (const PoolWindowCase& c : kPoolWindowCases) {
+    MaxPool1D pool(4, 4);
+    expect_window_routing(pool, Shape{2, 4, 1}, c);
+  }
+}
+
 TEST(MaxPool2D, ThrowsWhenWindowTooLarge) {
   MaxPool2D pool(4, 4);
   Tensor x(Shape{1, 2, 2, 1});
@@ -255,6 +309,66 @@ TEST(Dropout, TrainModeZeroesAndRescales) {
   }
   EXPECT_NEAR(static_cast<double>(zeros) / 10000.0, 0.5, 0.03);
   EXPECT_NEAR(sum / 10000.0, 1.0, 0.06);  // expectation preserved
+}
+
+// The branch-free ReLU backward and dropout forward against the loops they
+// replaced, kept here as references: byte-identical outputs, the same
+// draws in the same order.
+bool same_bytes(const Tensor& a, const std::vector<float>& b) {
+  return a.numel() == static_cast<std::int64_t>(b.size()) &&
+         std::memcmp(a.data(), b.data(), b.size() * sizeof(float)) == 0;
+}
+
+TEST(Activation, ReluBackwardMatchesBranchingLoop) {
+  const float specials[] = {kNan, -kNan, 0.0f, -0.0f, kInf, -kInf, 1.5f, -2.5f, 1e-40f};
+  std::vector<float> xs, ds;
+  for (const float xv : specials)
+    for (const float dv : specials) {
+      xs.push_back(xv);
+      ds.push_back(dv);
+    }
+  const Shape shape{static_cast<std::int64_t>(xs.size())};
+  Activation relu(ActKind::kRelu);
+  (void)relu.forward(Tensor(shape, xs), true);
+  const Tensor dx = relu.backward(Tensor(shape, ds));
+  std::vector<float> want(xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) want[i] = xs[i] > 0.0f ? ds[i] : 0.0f;
+  EXPECT_TRUE(same_bytes(dx, want));
+}
+
+TEST(Dropout, ForwardMatchesBranchingLoop) {
+  for (const double rate : {0.3, 0.5}) {
+    SCOPED_TRACE(rate);
+    const std::int64_t n = 1003;
+    Tensor x(Shape{n});
+    Rng fill(9);
+    for (std::int64_t i = 0; i < n; ++i)
+      x[static_cast<std::size_t>(i)] = static_cast<float>(fill.uniform(-3.0, 3.0));
+    x[0] = kNan;
+    x[1] = -kInf;
+    x[2] = -0.0f;
+    Dropout drop(rate);
+    Rng rng(42);
+    drop.set_train_rng(&rng);
+    const Tensor y = drop.forward(x, true);
+    Tensor dy(Shape{n});
+    dy.fill(1.0f);
+    const Tensor mask = drop.backward(dy);  // 1 * mask = mask
+
+    Rng ref_rng(42);
+    const float keep_scale = 1.0f / static_cast<float>(1.0 - rate);
+    std::vector<float> y_want(static_cast<std::size_t>(n), 0.0f);
+    std::vector<float> mask_want(static_cast<std::size_t>(n), 0.0f);
+    for (std::size_t i = 0; i < y_want.size(); ++i) {
+      if (!ref_rng.bernoulli(rate)) {
+        mask_want[i] = keep_scale;
+        y_want[i] = x[i] * keep_scale;
+      }
+    }
+    EXPECT_TRUE(same_bytes(y, y_want));
+    EXPECT_TRUE(same_bytes(mask, mask_want));
+    EXPECT_TRUE(rng.state() == ref_rng.state());
+  }
 }
 
 TEST(Dropout, TrainWithoutRngThrows) {
