@@ -25,7 +25,6 @@
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "obs/json.hpp"
-#include "tensor/kernels.hpp"
 
 namespace swt::bench {
 
@@ -37,10 +36,6 @@ inline long env_long(const char* name, long fallback) {
 
 inline int bench_seeds() { return static_cast<int>(env_long("SWTNAS_BENCH_SEEDS", 3)); }
 inline long bench_evals() { return env_long("SWTNAS_BENCH_EVALS", 60); }
-
-/// Compute-thread count the blocked kernels run with (SWT_THREADS env or the
-/// hardware default; bit-identical results either way, only speed differs).
-inline int bench_compute_threads() { return kernels::compute_threads(); }
 
 inline NasRunConfig standard_run_config(TransferMode mode, std::uint64_t seed,
                                         long n_evals, int workers = 8) {
@@ -182,9 +177,7 @@ inline void print_repro_note(const std::string& paper_ref) {
             << " from \"Accelerating DNN Architecture Search at Scale Using "
                "Selective Weight Transfer\" (CLUSTER'21).\n"
             << "Substrate: synthetic datasets + virtual cluster (see DESIGN.md); "
-               "compare shapes/orderings with the paper, not absolute values.\n"
-            << "Compute threads: " << bench_compute_threads()
-            << " (set SWT_THREADS to change; results are bit-identical).\n";
+               "compare shapes/orderings with the paper, not absolute values.\n";
 }
 
 }  // namespace swt::bench

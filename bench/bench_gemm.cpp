@@ -1,16 +1,14 @@
-// Compute-kernel throughput study: blocked/threaded GEMM + index-table conv
-// vs the retained naive:: references.
+// Compute-kernel throughput study: blocked GEMM + index-table conv vs the
+// retained naive:: references, all on the calling thread.
 //
-// Reports GFLOP/s for all three GEMM variants (single-threaded naive vs
-// blocked), thread scaling of the blocked path at 256^3, the cost of waking
-// the pool for an empty dispatch, the conv forward/backward blocked-vs-direct
-// comparison at one large shape and at the shapes the search trains, the
-// validation-pass convs above the pool's FLOP cut at 1 and 4 threads, and
-// the Adam update (vector kernel vs scalar loop) at the search's model
-// sizes — all into
+// Reports GFLOP/s for all three GEMM variants (naive vs blocked), the conv
+// forward/backward blocked-vs-direct comparison at one large shape and at
+// the shapes the search trains, and the Adam update (vector kernel vs
+// scalar loop) at the search's model sizes — all into
 // BENCH_bench_gemm.json via BenchResultFile.  Every timed pair is also
 // differentially checked (blocked output must equal the reference bit for
-// bit), so the bench doubles as a large-shape correctness harness.
+// bit), so the bench doubles as a large-shape correctness harness and exits
+// non-zero on any divergence.
 //
 //   --smoke   trim sizes/repetitions for CI (keeps the 256^3 rows)
 #include <benchmark/benchmark.h>
@@ -18,12 +16,10 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "tensor/kernels.hpp"
 
@@ -83,7 +79,6 @@ double gflops(double flops, double seconds) {
 }
 
 bool g_all_match = true;
-bool g_gate_ok = true;
 
 void check_match(const std::vector<float>& got, const std::vector<float>& want,
                  const std::string& what) {
@@ -100,7 +95,6 @@ void check_match(const std::vector<float>& got, const std::vector<float>& want,
 
 void gemm_single_thread_study(bool smoke) {
   print_banner(std::cout, "GEMM GFLOP/s, single thread (naive vs blocked)");
-  k::set_compute_threads(1);
   const std::vector<std::int64_t> sizes =
       smoke ? std::vector<std::int64_t>{256} : std::vector<std::int64_t>{64, 128, 256, 384};
   const int reps = smoke ? 3 : 5;
@@ -140,153 +134,11 @@ void gemm_single_thread_study(bool smoke) {
 }
 
 // ---------------------------------------------------------------------------
-// Thread scaling of the blocked path
-// ---------------------------------------------------------------------------
-
-void gemm_scaling_study(bool smoke) {
-  print_banner(std::cout, "GEMM thread scaling (blocked nn, 2-D tile partition)");
-  const int reps = smoke ? 3 : 5;
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-
-  // 512^3 is the gated size (enough tiles — 8x4 at MC=64/NC=128 — for 8
-  // owners); 256^3 shows where the old row partitioner went flat.
-  TableReport table({"m=n=k", "threads", "GF/s", "speedup vs 1"});
-  double sp4 = 0.0, sp8 = 0.0;  // 512^3 speedups feeding the gate
-  for (const std::int64_t s : {std::int64_t{256}, std::int64_t{512}}) {
-    const auto a = random_vec(s * s, 1);
-    const auto b = random_vec(s * s, 2);
-    const double flops = 2.0 * static_cast<double>(s) * s * s;
-
-    k::set_compute_threads(1);
-    std::vector<float> ref(static_cast<std::size_t>(s * s));
-    const double t1 = time_best(
-        reps, [&] { k::gemm_nn(a.data(), b.data(), ref.data(), s, s, s, false); });
-    table.add_row({std::to_string(s), "1", TableReport::cell(gflops(flops, t1)),
-                   "1.00x"});
-    for (const int threads : {2, 4, 8}) {
-      k::set_compute_threads(threads);
-      std::vector<float> c(ref.size());
-      const double t = time_best(
-          reps, [&] { k::gemm_nn(a.data(), b.data(), c.data(), s, s, s, false); });
-      check_match(c, ref, "gemm_nn " + std::to_string(s) + "^3 @" +
-                              std::to_string(threads) + " threads");
-      const double sp = t1 / t;
-      if (s == 512 && threads == 4) sp4 = sp;
-      if (s == 512 && threads == 8) sp8 = sp;
-      table.add_row({std::to_string(s), std::to_string(threads),
-                     TableReport::cell(gflops(flops, t)),
-                     TableReport::cell(sp, 2) + "x"});
-    }
-    k::set_compute_threads(1);
-  }
-  table.print(std::cout);
-  std::cout << "(hardware threads on this host: " << cores << ")\n";
-
-  // Parallel-efficiency floor: the tile partitioner must actually buy
-  // wall-clock on multi-core hosts.  Thread counts above the core count
-  // only oversubscribe, so each floor applies where the cores exist to
-  // meet it; on smaller hosts the study still runs (correctness checks
-  // above) but the floor is reported N/A.
-  if (cores >= 8) {
-    const bool ok = sp8 >= 3.0 && sp4 >= 2.0;
-    std::cout << (ok ? "PASS" : "FAIL")
-              << ": 512^3 nn speedup @8 threads = " << TableReport::cell(sp8, 2)
-              << "x (floor 3.00x), @4 threads = " << TableReport::cell(sp4, 2)
-              << "x (floor 2.00x)\n";
-    if (!ok) g_gate_ok = false;
-  } else if (cores >= 4) {
-    const bool ok = sp4 >= 2.0;
-    std::cout << (ok ? "PASS" : "FAIL")
-              << ": 512^3 nn speedup @4 threads = " << TableReport::cell(sp4, 2)
-              << "x (floor 2.00x; the 8-thread floor needs an 8-core host)\n";
-    if (!ok) g_gate_ok = false;
-  } else {
-    std::cout << "NOTE: host has " << cores
-              << " core(s); the scaling floors (>=2.00x @4 threads, >=3.00x @8 "
-                 "threads, 512^3) apply to >=4-core hosts.\n";
-  }
-
-  // Per-worker utilization of the pool during a max-thread burst: flat GF/s
-  // above shows *that* scaling stops; this table shows *why* — either the
-  // workers are busy but contending (busy share high, GF/s flat: memory
-  // bound) or they starve behind the inline tile range (idle share high:
-  // dispatch bound).  The submitting thread runs part 0 inline and is not
-  // a pool worker, so it has no row here.
-  print_banner(std::cout, "pool worker utilization (blocked nn, 512^3, max threads)");
-  ThreadPool& pool = ThreadPool::global();
-  const std::int64_t su = 512;
-  const auto au = random_vec(su * su, 1);
-  const auto bu = random_vec(su * su, 2);
-  k::set_compute_threads(8);
-  pool.reset_stats();
-  std::vector<float> c(static_cast<std::size_t>(su * su));
-  for (int r = 0; r < reps; ++r)
-    k::gemm_nn(au.data(), bu.data(), c.data(), su, su, su, false);
-  k::set_compute_threads(1);
-  const std::vector<ThreadStats> stats = pool.stats();
-  TableReport util({"pool worker", "busy s", "idle s", "busy share", "tasks"});
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    const double wall = stats[i].busy_seconds + stats[i].idle_seconds;
-    util.add_row({std::to_string(i), TableReport::cell(stats[i].busy_seconds, 4),
-                  TableReport::cell(stats[i].idle_seconds, 4),
-                  TableReport::cell_pct(wall > 0.0 ? stats[i].busy_seconds / wall : 0.0),
-                  std::to_string(stats[i].tasks)});
-  }
-  util.print(std::cout);
-}
-
-// ---------------------------------------------------------------------------
-// Pool wake cost: what kParallelFlopThreshold keeps search kernels from paying
-// ---------------------------------------------------------------------------
-
-/// Busy-wait `us` microseconds on the calling thread while the pool sleeps.
-void spin_us(int us) {
-  const WallTimer work;
-  while (work.seconds() * 1e6 < us) {
-  }
-}
-
-/// The q-quantile of `xs` (sorted in place).
-double quantile(std::vector<double>& xs, double q) {
-  std::sort(xs.begin(), xs.end());
-  return xs[static_cast<std::size_t>(q * static_cast<double>(xs.size() - 1))];
-}
-
-/// An empty 4-part parallel_tiles dispatch on the global pool, timed after
-/// 0, 50 and 200 us of serial work on the calling thread, which is how long
-/// the workers sleep between the kernels of a serial search.  A whole conv
-/// at the search's shapes takes 10-400 us.
-void pool_wake_study(bool smoke) {
-  print_banner(std::cout, "pool wake cost (empty 4-part dispatch after serial work)");
-  const int reps = smoke ? 200 : 2000;
-  std::vector<std::string> header = {"dispatch"};
-  std::vector<std::string> row = {"empty 4-part"};
-  for (const int work_us : {0, 50, 200}) {
-    std::vector<double> us;
-    us.reserve(static_cast<std::size_t>(reps));
-    for (int r = 0; r < reps; ++r) {
-      spin_us(work_us);
-      const WallTimer timer;
-      parallel_tiles(4, 4, [](int, std::int64_t, std::int64_t) {});
-      us.push_back(timer.seconds() * 1e6);
-    }
-    const std::string after = " us after " + std::to_string(work_us) + " us";
-    header.insert(header.end(), {"p50" + after, "p99" + after});
-    row.insert(row.end(), {TableReport::cell(quantile(us, 0.5), 1),
-                           TableReport::cell(quantile(us, 0.99), 1)});
-  }
-  TableReport table(header);
-  table.add_row(row);
-  table.print(std::cout);
-}
-
-// ---------------------------------------------------------------------------
 // Convolution: direct loops vs GEMM through patch index tables
 // ---------------------------------------------------------------------------
 
 void conv_study(bool smoke) {
   print_banner(std::cout, "conv forward/backward GFLOP/s (direct vs blocked)");
-  k::set_compute_threads(1);
   const int reps = smoke ? 2 : 4;
 
   k::ConvGeom g;
@@ -369,7 +221,6 @@ k::ConvGeom same3x3(std::int64_t n, std::int64_t hw, std::int64_t cin, std::int6
 /// row has no naive column.
 void search_shape_study(bool smoke) {
   print_banner(std::cout, "conv at search shapes, single thread (naive vs blocked)");
-  k::set_compute_threads(1);
   const int reps = smoke ? 20 : 200;
   struct ConvShape {
     const char* name;
@@ -440,61 +291,6 @@ void search_shape_study(bool smoke) {
   std::cout << "(the \"backward, no dx\" speedup is against the naive full backward)\n";
 }
 
-// ---------------------------------------------------------------------------
-// Validation-pass convs: the only search kernels the pool splits
-// ---------------------------------------------------------------------------
-
-/// Trainer::evaluate runs the whole validation set as one batch, so at data
-/// scale 1 a validation forward can cross kParallelFlopThreshold where no
-/// training batch does: CIFAR's 96 images through a "same" 16->24 conv at
-/// 8x8 or a 24->24 conv at 6x6-8x8.  (NT3's 48 validation rows into a
-/// 128-unit dense layer after an unpooled 8-channel conv are 37.7 MFLOP too,
-/// but one 48x128 output tile, which runs on the caller at any thread
-/// count.)  Each conv runs on the calling thread and split over 4,
-/// alternating, every call after 200 us of serial work (the pool sleeps
-/// through a candidate's training epoch before its validation pass).
-void validation_kernel_study(bool smoke) {
-  print_banner(std::cout, "validation-pass convs above the cut (1 vs 4 threads, after serial work)");
-  const int reps = smoke ? 20 : 200;
-  TableReport table({"conv forward", "MFLOP", "p50 us 1 thread", "p50 us 4 threads",
-                     "p90 us 1 thread", "p90 us 4 threads", "p50 speedup"});
-  const std::pair<const char*, k::ConvGeom> convs[] = {
-      {"cifar val 96x8x8x16->24", same3x3(96, 8, 16, 24)},
-      {"cifar val 96x8x8x24->24", same3x3(96, 8, 24, 24)},
-      {"cifar val 96x6x6x24->24", same3x3(96, 6, 24, 24)},
-  };
-  for (const auto& [name, g] : convs) {
-    const auto x = random_vec(g.n * g.h * g.w * g.cin, 31);
-    const auto w = random_vec(g.kh * g.kw * g.cin * g.cout, 32);
-    const auto bias = random_vec(g.cout, 33);
-    std::vector<float> serial(static_cast<std::size_t>(g.patch_rows() * g.cout));
-    std::vector<float> split(serial.size());
-    std::vector<double> us1, us4;
-    for (int r = 0; r < reps; ++r) {
-      for (const int threads : {1, 4}) {
-        k::set_compute_threads(threads);
-        spin_us(200);
-        const WallTimer timer;
-        k::conv_forward(x.data(), w.data(), bias.data(),
-                        threads == 1 ? serial.data() : split.data(), g);
-        (threads == 1 ? us1 : us4).push_back(timer.seconds() * 1e6);
-      }
-    }
-    k::set_compute_threads(1);
-    std::vector<float> want(serial.size());
-    k::naive::conv_forward(x.data(), w.data(), bias.data(), want.data(), g);
-    check_match(serial, want, std::string(name) + " forward on 1 thread");
-    check_match(split, want, std::string(name) + " forward on 4 threads");
-    const double p50_1 = quantile(us1, 0.5), p50_4 = quantile(us4, 0.5);
-    table.add_row({name, TableReport::cell(static_cast<double>(g.flops()) / 1e6, 1),
-                   TableReport::cell(p50_1, 1), TableReport::cell(p50_4, 1),
-                   TableReport::cell(quantile(us1, 0.9), 1),
-                   TableReport::cell(quantile(us4, 0.9), 1),
-                   TableReport::cell(p50_1 / p50_4, 2) + "x"});
-  }
-  table.print(std::cout);
-}
-
 /// One Adam step over the median CIFAR, Uno and NT3 model sizes of a
 /// search: the vector kernel against the scalar reference loop, each
 /// stepping its own copy of w, m and v, which must end byte-identical.
@@ -553,16 +349,11 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   swt::bench::print_repro_note("compute-kernel throughput (kernel layer self-study)");
   gemm_single_thread_study(smoke);
-  gemm_scaling_study(smoke);
-  pool_wake_study(smoke);
   conv_study(smoke);
   search_shape_study(smoke);
-  validation_kernel_study(smoke);
   search_optimizer_study(smoke);
   std::cout << (g_all_match
                     ? "\nPASS: every kernel result is bit-identical to its reference.\n"
                     : "\nFAIL: kernels diverged from the naive reference.\n");
-  if (!g_gate_ok)
-    std::cout << "FAIL: thread-scaling floor not met (see scaling study above).\n";
-  return g_all_match && g_gate_ok ? 0 : 1;
+  return g_all_match ? 0 : 1;
 }

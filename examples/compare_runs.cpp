@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 
+#include "common/parse.hpp"
 #include "exp/registry.hpp"
 #include "exp/report.hpp"
 
@@ -71,15 +72,20 @@ int main(int argc, char** argv) try {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // A threshold that is not one whole number is a usage error.
+    const auto number = [&](const auto& parsed) {
+      if (!parsed) usage(argv[0]);
+      return *parsed;
+    };
     if (arg == "--registry-dir") registry_dir = next();
     else if (arg == "--baseline") baseline_id = next();
     else if (arg == "--candidate") candidate_id = next();
     else if (arg == "--baseline-file") baseline_file = next();
-    else if (arg == "--score-drop") thr.score_drop = std::stod(next());
-    else if (arg == "--makespan-slack") thr.makespan_slack = std::stod(next());
-    else if (arg == "--overhead-slack") thr.overhead_slack = std::stod(next());
-    else if (arg == "--extra-crashes") thr.extra_crashes = std::stol(next());
-    else if (arg == "--extra-lost") thr.extra_lost = std::stol(next());
+    else if (arg == "--score-drop") thr.score_drop = number(parse_double(next()));
+    else if (arg == "--makespan-slack") thr.makespan_slack = number(parse_double(next()));
+    else if (arg == "--overhead-slack") thr.overhead_slack = number(parse_double(next()));
+    else if (arg == "--extra-crashes") thr.extra_crashes = number(parse_long(next()));
+    else if (arg == "--extra-lost") thr.extra_lost = number(parse_long(next()));
     else usage(argv[0]);
   }
   if (registry_dir.empty()) usage(argv[0]);

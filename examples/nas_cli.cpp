@@ -38,7 +38,6 @@
 #include "obs/series.hpp"
 #include "obs/span_tracer.hpp"
 #include "serve/obs_server.hpp"
-#include "tensor/kernels.hpp"
 
 namespace {
 
@@ -53,7 +52,7 @@ using namespace swt;
                "       [--metrics-out file.json|file.csv] [--trace-out spans.json]\n"
                "       [--events-out events.ndjson|-] [--progress]\n"
                "       [--registry-dir DIR] [--fixed-train-seconds S]\n"
-               "       [--compute-threads N] [--eval-parallelism N]\n"
+               "       [--eval-parallelism N]\n"
                "       [--bank] [--bank-budget-mb N]\n"
                "       [--warm-start-from DIR] [--warm-start-k N]\n"
                "       [--log-level debug|info|warn|error|off]\n"
@@ -122,14 +121,10 @@ using namespace swt;
                "                      (diff runs with compare_runs)\n"
                "  --fixed-train-seconds S  charge every epoch S virtual seconds instead of\n"
                "                      measured wall time (makes runs bit-reproducible)\n"
-               "  --compute-threads N  output-tile owners for the blocked GEMM/conv kernels\n"
-               "                      (default: SWT_THREADS env, else hardware threads;\n"
-               "                      results are bit-identical for every value)\n"
                "  --eval-parallelism N train up to N dispatched evaluations at once on\n"
                "                      real threads (default 1 = serial; traces are byte-\n"
-               "                      identical for every value; N>1 runs each eval's\n"
-               "                      kernels serially, overriding --compute-threads\n"
-               "                      inside those evals)\n"
+               "                      identical for every value).  Each evaluation's\n"
+               "                      kernels run on the thread that trains it.\n"
                "\n"
                "fault injection (all off by default; see DESIGN.md):\n"
                "  --mtbf S            mean virtual seconds of compute between worker\n"
@@ -328,17 +323,6 @@ int main(int argc, char** argv) try {
     else if (arg == "--registry-dir") registry_dir = next();
     else if (arg == "--progress") progress = true;
     else if (arg == "--fixed-train-seconds") cfg.cluster.fixed_train_seconds = num_double();
-    else if (arg == "--compute-threads") {
-      std::string reason;
-      const std::string text = next();
-      const int n = kernels::parse_thread_count(text.c_str(), 0, &reason);
-      if (n == 0) {
-        std::cerr << "--compute-threads " << text << ": " << reason << "\n";
-        usage(argv[0]);
-      }
-      if (!reason.empty()) log_warn("--compute-threads ", text, ": ", reason);
-      kernels::set_compute_threads(n);
-    }
     else if (arg == "--eval-parallelism") cfg.cluster.eval_parallelism = num_int();
     else if (arg == "--log-level") {
       const auto level = parse_log_level(next());
@@ -391,7 +375,6 @@ int main(int argc, char** argv) try {
             << " evals=" << cfg.n_evals << " workers=" << cfg.cluster.num_workers
             << " seed=" << cfg.seed << " async=" << cfg.cluster.async_checkpointing
             << " compress=" << to_string(compression)
-            << " compute-threads=" << kernels::compute_threads()
             << " eval-parallelism=" << cfg.cluster.eval_parallelism << "\n";
 
   cfg.compression = compression;

@@ -23,7 +23,6 @@
 #include "obs/prof/critical_path.hpp"
 #include "obs/quality.hpp"
 #include "obs/span_tracer.hpp"
-#include "tensor/kernels.hpp"
 
 namespace swt {
 
@@ -264,13 +263,8 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
   bool stall_fired = false;
 
   // Execution substrate.  With eval_parallelism > 1 every dispatched
-  // training runs as a future on a dedicated pool rather than
-  // ThreadPool::global(): trainer kernels dispatch row chunks onto the
-  // global pool, and eval tasks blocking inside it while their nested chunks
-  // sit behind them in the same queue would deadlock.  Eval tasks instead
-  // pin their kernels serial (ScopedSerialKernels) — the cores are already
-  // saturated at task level, and the kernel determinism contract makes that
-  // a pure scheduling choice.
+  // training runs as a future on the eval pool, and its kernels run on the
+  // pool thread that trains it.
   std::unique_ptr<ThreadPool> eval_pool;
   if (cfg.eval_parallelism > 1)
     eval_pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(
@@ -313,7 +307,6 @@ Trace run_search(Evaluator& evaluator, SearchStrategy& strategy, long n_evals,
   const auto start_training = [&](long id, const Proposal& proposal, int attempt) {
     auto task = std::make_shared<std::packaged_task<EvalRecord()>>(
         [&evaluator, proposal, id, attempt, faults] {
-          const kernels::ScopedSerialKernels serial_kernels;
           return evaluator.evaluate(id, proposal, attempt, faults);
         });
     std::shared_future<EvalRecord> training = task->get_future().share();

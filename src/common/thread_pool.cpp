@@ -18,11 +18,6 @@ double steady_seconds() {
       .count();
 }
 
-/// Atomic accumulate onto a per-worker stat (single writer; readers relaxed).
-void stat_add(std::atomic<double>& a, double delta) {
-  a.store(a.load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
-}
-
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -31,11 +26,8 @@ ThreadPool::ThreadPool(std::size_t threads) {
   // destruct after any static pool.
   (void)metrics();
   if (threads == 0) threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  stats_ = std::make_unique<WorkerStat[]>(threads);
   workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
+  for (std::size_t i = 0; i < threads; ++i) workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -67,34 +59,10 @@ void ThreadPool::wait_idle() {
   if (err) std::rethrow_exception(err);
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
-}
-
-std::vector<ThreadStats> ThreadPool::stats() const {
-  std::vector<ThreadStats> out(workers_.size());
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    out[i].busy_seconds = stats_[i].busy.load(std::memory_order_relaxed);
-    out[i].idle_seconds = stats_[i].idle.load(std::memory_order_relaxed);
-    out[i].tasks = stats_[i].tasks.load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-void ThreadPool::reset_stats() {
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    stats_[i].busy.store(0.0, std::memory_order_relaxed);
-    stats_[i].idle.store(0.0, std::memory_order_relaxed);
-    stats_[i].tasks.store(0, std::memory_order_relaxed);
-  }
-}
-
-void ThreadPool::worker_loop(std::size_t index) {
+void ThreadPool::worker_loop() {
   // Pool workers are where the compute happens: register them with the
   // sampling profiler (no-op cost when it is not running).
   const prof::ScopedProfiledThread profiled("pool-worker");
-  WorkerStat& stat = stats_[index];
   Gauge& busy_gauge = metrics().gauge("pool.busy_seconds");
   Gauge& idle_gauge = metrics().gauge("pool.idle_seconds");
   for (;;) {
@@ -103,9 +71,7 @@ void ThreadPool::worker_loop(std::size_t index) {
       const double wait_begin = steady_seconds();
       std::unique_lock lock(mutex_);
       cv_task_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      const double waited = steady_seconds() - wait_begin;
-      stat_add(stat.idle, waited);
-      idle_gauge.add(waited);
+      idle_gauge.add(steady_seconds() - wait_begin);
       if (stop_ && queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
@@ -117,94 +83,12 @@ void ThreadPool::worker_loop(std::size_t index) {
       std::scoped_lock lock(mutex_);
       if (!first_error_) first_error_ = std::current_exception();
     }
-    const double ran = steady_seconds() - task_begin;
-    stat_add(stat.busy, ran);
-    stat.tasks.fetch_add(1, std::memory_order_relaxed);
-    busy_gauge.add(ran);
+    busy_gauge.add(steady_seconds() - task_begin);
     {
       std::scoped_lock lock(mutex_);
       if (--in_flight_ == 0) cv_idle_.notify_all();
     }
   }
-}
-
-void parallel_tiles(std::int64_t count, int parts,
-                    const std::function<void(int, std::int64_t, std::int64_t)>& body,
-                    ThreadPool* pool) {
-  if (count <= 0) return;
-  if (pool == nullptr) pool = &ThreadPool::global();
-  const std::int64_t nparts =
-      std::clamp<std::int64_t>(parts, 1, count);
-  {
-    static Counter& tiles_c = metrics().counter("pool.tiles_total");
-    static Counter& ranges_c = metrics().counter("pool.tile_ranges_total");
-    tiles_c.add(count);
-    ranges_c.add(nparts);
-  }
-  const auto range_lo = [count, nparts](std::int64_t p) {
-    return p * count / nparts;
-  };
-  if (nparts == 1) {
-    body(0, 0, count);
-    return;
-  }
-  // Private join latch: ThreadPool::wait_idle() would also wait for (and
-  // steal errors from) unrelated submissions; this dispatch joins only its
-  // own ranges.  Exceptions are collected per part so the latch always
-  // reaches zero and the *lowest part index* wins deterministically.
-  struct Join {
-    std::mutex m;
-    std::condition_variable cv;
-    std::int64_t remaining;
-  } join{{}, {}, nparts - 1};
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nparts));
-  for (std::int64_t p = 1; p < nparts; ++p) {
-    const std::int64_t lo = range_lo(p);
-    const std::int64_t hi = range_lo(p + 1);
-    pool->submit([&join, &body, &errors, p, lo, hi] {
-      try {
-        body(static_cast<int>(p), lo, hi);
-      } catch (...) {
-        errors[static_cast<std::size_t>(p)] = std::current_exception();
-      }
-      const std::scoped_lock lock(join.m);
-      if (--join.remaining == 0) join.cv.notify_one();
-    });
-  }
-  try {
-    body(0, 0, range_lo(1));
-  } catch (...) {
-    errors[0] = std::current_exception();
-  }
-  {
-    std::unique_lock lock(join.m);
-    join.cv.wait(lock, [&join] { return join.remaining == 0; });
-  }
-  for (const std::exception_ptr& err : errors) {
-    if (err) std::rethrow_exception(err);
-  }
-}
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  ThreadPool* pool) {
-  if (n == 0) return;
-  if (pool == nullptr) pool = &ThreadPool::global();
-  const std::size_t workers = pool->size();
-  if (workers <= 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  const std::size_t blocks = std::min(workers * 4, n);
-  const std::size_t chunk = (n + blocks - 1) / blocks;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t lo = b * chunk;
-    const std::size_t hi = std::min(n, lo + chunk);
-    if (lo >= hi) break;
-    pool->submit([lo, hi, &fn] {
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    });
-  }
-  pool->wait_idle();
 }
 
 }  // namespace swt

@@ -1,44 +1,33 @@
-// Minimal work-stealing-free thread pool and a blocking parallel_for.
+// Fixed-size thread pool: the eval pool that trains dispatched candidate
+// evaluations concurrently (`--eval-parallelism`).
 //
-// The virtual cluster (src/cluster) simulates parallelism with a discrete
-// event loop because candidate *scores* must be computed by real training on
-// whatever cores exist; this pool is the real-concurrency substrate used for
-// data-parallel inner loops (e.g. batched tensor ops, pair-sampling studies)
-// and for parallel candidate evaluation when more than one hardware thread
-// is available.  With one core it degrades gracefully to serial
-// execution.
+// The virtual cluster (src/cluster) simulates the paper's GPU workers with a
+// discrete event loop, but candidate *scores* come from real training on
+// whatever cores exist; run_search submits those trainings here when more
+// than one may run at once.  It is the only pool that computes: the kernels
+// inside a training run on the pool thread that trains it.
 //
 // Exception contract: a throwing task does NOT terminate the process.  The
 // first exception is captured; remaining queued tasks still run (so the pool
 // always drains back to idle) and the captured exception is rethrown from the
-// next wait_idle() / parallel_for() on this pool.  Later exceptions raised
-// before that rethrow are dropped — first error wins, mirroring what a serial
-// loop would have surfaced.
+// next wait_idle() on this pool.  Later exceptions raised before that
+// rethrow are dropped — first error wins, mirroring what a serial loop would
+// have surfaced.
+//
+// Workers register with the sampling profiler and add their task and wait
+// time to the `pool.busy_seconds` / `pool.idle_seconds` gauges.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace swt {
-
-/// Per-worker utilization, read via ThreadPool::stats().  busy is wall time
-/// inside tasks, idle is wall time blocked on the task queue — together
-/// they make load imbalance (one hot worker, N-1 waiters) directly visible
-/// in bench_gemm and on /metrics (pool.busy_seconds / pool.idle_seconds).
-struct ThreadStats {
-  double busy_seconds = 0.0;
-  double idle_seconds = 0.0;
-  std::uint64_t tasks = 0;
-};
 
 class ThreadPool {
  public:
@@ -65,25 +54,10 @@ class ThreadPool {
   /// exception any task threw since the last wait (clearing it).
   void wait_idle();
 
-  /// Process-wide pool, sized to the hardware.
-  static ThreadPool& global();
-
-  /// One entry per worker; each worker owns its entry (relaxed reads may
-  /// lag in-flight work by one task).
-  [[nodiscard]] std::vector<ThreadStats> stats() const;
-  void reset_stats();
-
  private:
-  void worker_loop(std::size_t index);
-
-  struct alignas(64) WorkerStat {
-    std::atomic<double> busy{0.0};
-    std::atomic<double> idle{0.0};
-    std::atomic<std::uint64_t> tasks{0};
-  };
+  void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::unique_ptr<WorkerStat[]> stats_;
   std::deque<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_task_;
@@ -92,40 +66,5 @@ class ThreadPool {
   bool stop_ = false;
   std::exception_ptr first_error_;  // guarded by mutex_
 };
-
-/// Run fn(i) for i in [0, n), partitioned into contiguous blocks across the
-/// pool.  Blocks until all iterations complete.  If any iteration throws, the
-/// remaining blocks still run and the first exception is rethrown here.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
-                  ThreadPool* pool = nullptr);
-
-/// Static owner-computes dispatch over a tile range: [0, count) is split into
-/// at most `parts` contiguous ranges (the balanced `p*count/parts` cut, so
-/// range sizes differ by at most one tile) and `body(part, lo, hi)` runs once
-/// per non-empty range.  Part 0 executes inline on the calling thread; parts
-/// 1.. are submitted to `pool` (default: the global pool) and joined on a
-/// private latch, so the call never waits on unrelated submissions and
-/// returns only after every range — and all of its writes — are visible to
-/// the caller.
-///
-/// The partition is a pure function of (count, parts): callers that key work
-/// off the tile index get a deterministic owner per tile, independent of
-/// worker scheduling — the property the kernel layer's bit-reproducibility
-/// across thread counts rests on.
-///
-/// Error contract: a throwing range does not leak the latch — remaining
-/// ranges still run, and the lowest-part-index exception is rethrown here
-/// (deterministic "first error wins", unlike submission-order races).
-///
-/// Observability: each dispatch adds `count` to `pool.tiles_total` and the
-/// number of ranges to `pool.tile_ranges_total`, alongside the existing
-/// pool.busy_seconds / pool.idle_seconds worker gauges.
-///
-/// Must not be called from inside a task of the same pool: the inline part
-/// would be fine but submitted parts could deadlock behind their own caller.
-/// (The kernel layer guards this with its nested-dispatch flag.)
-void parallel_tiles(std::int64_t count, int parts,
-                    const std::function<void(int, std::int64_t, std::int64_t)>& body,
-                    ThreadPool* pool = nullptr);
 
 }  // namespace swt

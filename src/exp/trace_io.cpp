@@ -1,6 +1,7 @@
 #include "exp/trace_io.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -32,6 +33,33 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   return cells;
 }
 
+// Cell conversions in the std::sto* shape: parse a prefix of `s`, store
+// its length in `pos`, throw when there is none.
+long to_long(const std::string& s, std::size_t* pos) { return std::stol(s, pos); }
+int to_int(const std::string& s, std::size_t* pos) { return std::stoi(s, pos); }
+std::int64_t to_i64(const std::string& s, std::size_t* pos) { return std::stoll(s, pos); }
+double to_double(const std::string& s, std::size_t* pos) { return std::stod(s, pos); }
+std::uint64_t to_u64(const std::string& s, std::size_t* pos) {
+  // std::stoull takes a sign and wraps "-1" to 2^64 - 1.
+  if (s.find_first_of("+-") != std::string::npos) throw std::invalid_argument("signed");
+  return std::stoull(s, pos);
+}
+unsigned to_unsigned(const std::string& s, std::size_t* pos) {
+  const std::uint64_t v = to_u64(s, pos);
+  if (v > std::numeric_limits<unsigned>::max()) throw std::out_of_range("above UINT_MAX");
+  return static_cast<unsigned>(v);
+}
+
+/// `convert` applied to the whole of `text`: a valid prefix followed by
+/// anything ("8x", "3abc") throws like an invalid number.
+template <typename Fn>
+[[nodiscard]] auto convert_whole(const std::string& text, Fn convert) {
+  std::size_t pos = 0;
+  const auto v = convert(text, &pos);
+  if (pos != text.size()) throw std::invalid_argument("trailing characters");
+  return v;
+}
+
 /// Sequential typed access to one CSV row.  Every conversion failure is
 /// reported with the column name and the offending cell text (the caller
 /// adds the line) — a malformed trace should say *where* it is broken, not
@@ -45,36 +73,12 @@ class RowReader {
     ++idx_;
     return (*cells_)[idx_ - 1];
   }
-  [[nodiscard]] long next_long(const char* col) {
-    return parse<long>(col, [](const std::string& s, std::size_t* pos) {
-      return std::stol(s, pos);
-    });
-  }
-  [[nodiscard]] int next_int(const char* col) {
-    return parse<int>(col, [](const std::string& s, std::size_t* pos) {
-      return std::stoi(s, pos);
-    });
-  }
-  [[nodiscard]] std::int64_t next_i64(const char* col) {
-    return parse<std::int64_t>(col, [](const std::string& s, std::size_t* pos) {
-      return std::stoll(s, pos);
-    });
-  }
-  [[nodiscard]] std::uint64_t next_u64(const char* col) {
-    return parse<std::uint64_t>(col, [](const std::string& s, std::size_t* pos) {
-      return std::stoull(s, pos);
-    });
-  }
-  [[nodiscard]] unsigned next_unsigned(const char* col) {
-    return parse<unsigned>(col, [](const std::string& s, std::size_t* pos) {
-      return static_cast<unsigned>(std::stoul(s, pos));
-    });
-  }
-  [[nodiscard]] double next_double(const char* col) {
-    return parse<double>(col, [](const std::string& s, std::size_t* pos) {
-      return std::stod(s, pos);
-    });
-  }
+  [[nodiscard]] long next_long(const char* col) { return parse(col, to_long); }
+  [[nodiscard]] int next_int(const char* col) { return parse(col, to_int); }
+  [[nodiscard]] std::int64_t next_i64(const char* col) { return parse(col, to_i64); }
+  [[nodiscard]] std::uint64_t next_u64(const char* col) { return parse(col, to_u64); }
+  [[nodiscard]] unsigned next_unsigned(const char* col) { return parse(col, to_unsigned); }
+  [[nodiscard]] double next_double(const char* col) { return parse(col, to_double); }
 
   [[nodiscard]] std::runtime_error error(const char* col, const std::string& cell,
                                          const char* why) const {
@@ -83,14 +87,11 @@ class RowReader {
   }
 
  private:
-  template <typename T, typename Fn>
-  [[nodiscard]] T parse(const char* col, Fn convert) {
+  template <typename T>
+  [[nodiscard]] T parse(const char* col, T (*convert)(const std::string&, std::size_t*)) {
     const std::string& cell = next_raw(col);
     try {
-      std::size_t pos = 0;
-      const T v = convert(cell, &pos);
-      if (pos != cell.size()) throw std::invalid_argument("trailing characters");
-      return v;
+      return convert_whole(cell, convert);
     } catch (const std::exception&) {
       throw error(col, cell, "invalid value");
     }
@@ -107,9 +108,7 @@ ArchSeq decode_arch(const std::string& text, const RowReader& row) {
   std::string token;
   while (std::getline(is, token, '|')) {
     try {
-      std::size_t pos = 0;
-      arch.push_back(std::stoi(token, &pos));
-      if (pos != token.size()) throw std::invalid_argument("trailing characters");
+      arch.push_back(convert_whole(token, to_int));
     } catch (const std::exception&) {
       throw row.error("arch", text, "invalid op id in");
     }
@@ -212,13 +211,16 @@ Trace read_trace_csv(std::istream& is) {
       const std::string key = token.substr(0, eq);
       const std::string value = token.substr(eq + 1);
       try {
-        if (key.ends_with("num_workers")) trace.num_workers = std::stoi(value);
-        if (key.ends_with("makespan")) trace.makespan = std::stod(value);
-        if (key.ends_with("resubmissions")) trace.resubmissions = std::stol(value);
-        if (key.ends_with("lost_evaluations")) trace.lost_evaluations = std::stol(value);
-        if (key.ends_with("lost_train_seconds")) trace.lost_train_seconds = std::stod(value);
-        if (key.ends_with("retry_seconds")) trace.retry_seconds = std::stod(value);
-        if (key.ends_with("transfer_fallbacks")) trace.transfer_fallbacks = std::stol(value);
+        if (key.ends_with("num_workers")) trace.num_workers = convert_whole(value, to_int);
+        if (key.ends_with("makespan")) trace.makespan = convert_whole(value, to_double);
+        if (key.ends_with("resubmissions")) trace.resubmissions = convert_whole(value, to_long);
+        if (key.ends_with("lost_evaluations"))
+          trace.lost_evaluations = convert_whole(value, to_long);
+        if (key.ends_with("lost_train_seconds"))
+          trace.lost_train_seconds = convert_whole(value, to_double);
+        if (key.ends_with("retry_seconds")) trace.retry_seconds = convert_whole(value, to_double);
+        if (key.ends_with("transfer_fallbacks"))
+          trace.transfer_fallbacks = convert_whole(value, to_long);
       } catch (const std::exception&) {
         throw std::runtime_error("read_trace_csv: line 1, preamble key '" + key +
                                  "': invalid value \"" + value + "\"");

@@ -126,14 +126,6 @@ CounterSample CounterSample::delta(const CounterSample& earlier) const {
   return d;
 }
 
-void CounterSample::add(const CounterSample& other) {
-  cpu_seconds += other.cpu_seconds;
-  cycles += other.cycles;
-  instructions += other.instructions;
-  cache_misses += other.cache_misses;
-  hardware = hardware && other.hardware;
-}
-
 ThreadCounters::ThreadCounters() { open(false); }
 
 ThreadCounters::ThreadCounters(bool force_fallback) { open(force_fallback); }

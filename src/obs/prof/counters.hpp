@@ -33,13 +33,6 @@ struct CounterSample {
   bool hardware = false;
 
   CounterSample delta(const CounterSample& earlier) const;
-
-  /// Element-wise accumulate (cpu seconds, cycles, instructions, misses sum;
-  /// `hardware` stays set only if both sides had hardware counters).  Used to
-  /// fold the per-worker deltas of a parallel kernel dispatch into the
-  /// calling thread's sample so phase attribution covers every thread that
-  /// did work, not just the caller.
-  void add(const CounterSample& other);
 };
 
 /// One thread's counter handle.  Construct and read from the owning thread

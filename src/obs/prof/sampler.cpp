@@ -17,11 +17,13 @@
 #include <cstdlib>
 #include <istream>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
 
+#include "common/parse.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
@@ -610,12 +612,9 @@ SymbolizedProfile parse_collapsed(std::istream& in) {
     if (line.empty() || line[0] == '#') continue;
     const std::size_t space = line.rfind(' ');
     if (space == std::string::npos || space + 1 >= line.size()) continue;
-    std::uint64_t count = 0;
-    try {
-      count = std::stoull(line.substr(space + 1));
-    } catch (...) {
-      continue;
-    }
+    const std::optional<std::uint64_t> parsed = parse_u64(line.substr(space + 1));
+    if (!parsed) continue;
+    const std::uint64_t count = *parsed;
     std::vector<std::string> frames;
     std::size_t begin = 0;
     const std::string stack = line.substr(0, space);

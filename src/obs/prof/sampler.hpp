@@ -93,7 +93,8 @@ std::string to_collapsed(const SymbolizedProfile& prof);
 
 /// Parse collapsed text back (round-trip with to_collapsed; also accepts
 /// external flamegraph collapsed files).  Count is the last space-separated
-/// token so frame names may contain spaces (C++ template args).
+/// token so frame names may contain spaces (C++ template args); a line whose
+/// count is not a whole unsigned number is skipped.
 SymbolizedProfile parse_collapsed(std::istream& in);
 
 /// speedscope.app "sampled" profile JSON for interactive flamegraphs.

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/parse.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span_tracer.hpp"
@@ -126,14 +128,14 @@ void read_series_csv(std::istream& is, TimeSeriesStore& store) {
     if (col != cell.size())
       throw std::runtime_error("series CSV line " + std::to_string(line_no) +
                                ": expected 4 columns, got " + std::to_string(col));
-    try {
-      store.append(cell[0], SeriesPoint{std::stod(cell[1]), std::stod(cell[2]),
-                                        // "null" marks a non-finite sample
-                                        cell[3] == "null" ? 0.0 : std::stod(cell[3])});
-    } catch (const std::exception&) {
+    const std::optional<double> wall = parse_double(cell[1]);
+    const std::optional<double> virt = parse_double(cell[2]);
+    // "null" marks a non-finite sample.
+    const std::optional<double> value = cell[3] == "null" ? 0.0 : parse_double(cell[3]);
+    if (!wall || !virt || !value)
       throw std::runtime_error("series CSV line " + std::to_string(line_no) +
                                ": malformed number in: " + line);
-    }
+    store.append(cell[0], SeriesPoint{*wall, *virt, *value});
   }
 }
 

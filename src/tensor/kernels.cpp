@@ -1,17 +1,12 @@
 #include "tensor/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <functional>
-#include <thread>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "common/log.hpp"
-#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof/counters.hpp"
@@ -22,97 +17,6 @@ namespace swt::kernels {
 namespace {
 
 using std::int64_t;
-
-// ---------------------------------------------------------------------------
-// Threading knob + 2-D tile dispatch
-// ---------------------------------------------------------------------------
-
-int hardware_threads() noexcept {
-  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-}
-
-int threads_from_env() {
-  const char* v = std::getenv("SWT_THREADS");
-  const int hw = hardware_threads();
-  if (v == nullptr) return hw;
-  std::string reason;
-  const int n = parse_thread_count(v, hw, &reason);
-  if (!reason.empty())
-    log_warn("SWT_THREADS=\"", v, "\": ", reason, "; using ", n,
-             " compute thread(s)");
-  return n;
-}
-
-std::atomic<int> g_compute_threads{0};  // 0 = resolve from env on first use
-
-/// Set inside pool-executed tile ranges: a kernel invoked from a compute
-/// range must not re-enter the pool — its caller is already occupying a
-/// worker and blocking on the join.
-thread_local bool tl_in_compute_chunk = false;
-
-/// Per-worker resource-counter deltas of the most recent parallel dispatches
-/// issued by this thread, folded back on the caller after the join so phase
-/// attribution (prof.gemm.* / prof.conv.*) counts every thread that did
-/// work.  `count == 0` means "no remote work measured" — the sum must then
-/// be ignored, not added (its zero `hardware` flag would otherwise clear the
-/// caller's).
-struct RemoteCounters {
-  prof::CounterSample sum;
-  int count = 0;
-
-  void fold(const prof::CounterSample& delta) {
-    if (count == 0)
-      sum = delta;
-    else
-      sum.add(delta);
-    ++count;
-  }
-};
-thread_local RemoteCounters tl_remote;
-
-/// Run body(lo, hi) over a deterministic static partition of the tile range
-/// [0, tiles).  Each tile has exactly one owner (owner-computes), and a
-/// tile's result is independent of the partition, so every thread count is
-/// bit-identical.  Falls back to one serial call when threading cannot pay
-/// for itself.  Ranges executed on pool workers are bracketed with the
-/// worker's resource counters (metrics on) and folded into `tl_remote` for
-/// the caller's phase attribution.
-void dispatch_tiles(int64_t tiles, double flops,
-                    const std::function<void(int64_t, int64_t)>& body) {
-  if (tiles <= 0) return;
-  const int threads = compute_threads();
-  if (threads <= 1 || tiles == 1 || tl_in_compute_chunk ||
-      flops < static_cast<double>(kParallelFlopThreshold)) {
-    body(0, tiles);
-    return;
-  }
-  const int parts = static_cast<int>(std::min<int64_t>(threads, tiles));
-  const bool collect = metrics_enabled();
-  std::vector<prof::CounterSample> deltas(
-      collect ? static_cast<std::size_t>(parts) : 0);
-  parallel_tiles(tiles, parts, [&](int part, int64_t lo, int64_t hi) {
-    if (part == 0) {
-      // Inline on the caller: its counters already bracket the whole kernel
-      // call in timed(), so measuring here would double-count.
-      body(lo, hi);
-      return;
-    }
-    tl_in_compute_chunk = true;
-    if (collect) {
-      prof::ThreadCounters& tc = prof::ThreadCounters::this_thread();
-      const prof::CounterSample before = tc.read();
-      body(lo, hi);
-      deltas[static_cast<std::size_t>(part)] = tc.read().delta(before);
-    } else {
-      body(lo, hi);
-    }
-    tl_in_compute_chunk = false;
-  });
-  if (collect) {
-    for (int p = 1; p < parts; ++p)
-      tl_remote.fold(deltas[static_cast<std::size_t>(p)]);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Metrics
@@ -136,22 +40,20 @@ void record_conv(double seconds, int64_t flops) noexcept {
   flops_c.add(flops);
 }
 
-/// Kernels of at least this many FLOPs are bracketed with resource counters
-/// in timed().  It sits below kParallelFlopThreshold so that prof.conv.* and
-/// prof.gemm.* still cover the search's 1-10 MFLOP kernels, which all run
-/// serially.
+/// Kernels of at least this many FLOPs are bracketed with the calling
+/// thread's resource counters in timed(), which covers the search's 1-10
+/// MFLOP kernels in prof.conv.* and prof.gemm.*.
 constexpr int64_t kCounterFlopThreshold = int64_t{1} << 20;
 
 /// Times `fn` into the given recorder only when metrics are on (two clock
 /// reads per kernel call, skipped entirely otherwise).  Kernels from
 /// kCounterFlopThreshold up additionally bracket the call with the calling
-/// thread's resource counters — plus the per-worker deltas dispatch_tiles
-/// folded into tl_remote — so achieved GF/s and IPC per phase cover every
-/// thread that did work; small kernels keep the historical two-clock-read
-/// path so the bench_overhead gate is unaffected by thousands of tiny calls
-/// per second.  FLOP-annotated wall spans are emitted only while the
-/// sampling profiler is live — a plain --trace-out run produces exactly the
-/// spans it used to.
+/// thread's resource counters, so each phase reports achieved GF/s and IPC;
+/// small kernels keep the two-clock-read path so the bench_overhead gate is
+/// unaffected by thousands of tiny calls per second.  A convolution's inner
+/// GEMM is bracketed inside the convolution's own bracket.  FLOP-annotated
+/// wall spans are emitted only while the sampling profiler is live — a
+/// plain --trace-out run produces exactly the spans it used to.
 template <typename Fn, typename Rec>
 inline void timed(int64_t flops, Rec rec, prof::Phase phase, Fn&& fn) {
   if (!metrics_enabled()) {
@@ -165,22 +67,12 @@ inline void timed(int64_t flops, Rec rec, prof::Phase phase, Fn&& fn) {
     return;
   }
   prof::ThreadCounters& counters = prof::ThreadCounters::this_thread();
-  // Nested kernels (conv's inner GEMM) save and restore the accumulator:
-  // each timed() consumes only the remote deltas of dispatches its own fn
-  // issued, and an inner kernel's remote work is attributed to the inner
-  // phase (the caller's bracket still covers the inner *inline* work, as it
-  // always has).
-  const RemoteCounters saved_remote = tl_remote;
-  tl_remote = RemoteCounters{};
   const prof::CounterSample before = counters.read();
   const WallTimer timer;
   fn();
   const double seconds = timer.seconds();
-  const prof::CounterSample after = counters.read();
+  const prof::CounterSample delta = counters.read().delta(before);
   rec(seconds, flops);
-  prof::CounterSample delta = after.delta(before);
-  if (tl_remote.count > 0) delta.add(tl_remote.sum);
-  tl_remote = saved_remote;
   prof::record_phase(phase, seconds, flops, delta);
   SpanTracer& tracer = SpanTracer::global();
   if (tracer.enabled() && prof::CpuProfiler::global().running()) {
@@ -201,19 +93,18 @@ inline void timed(int64_t flops, Rec rec, prof::Phase phase, Fn&& fn) {
 // ---------------------------------------------------------------------------
 // Blocked GEMM — one core for nn / tn / nt
 // ---------------------------------------------------------------------------
-// The output C is cut into a 2-D grid of (MC x NC) tiles; each tile has one
-// owner worker.  The owner walks k in KC panels.  Where an operand panel's
-// source layout differs from what the micro-kernel reads, the owner first
-// packs it into a thread-local buffer: packing untransposes nt's B and, for
-// wide tiles, tn's A, and each worker reads/writes only its own buffers (no
-// shared pack, no false sharing).  Where packing buys nothing the panel is
-// read in place (see gemm_tile_range).  Register micro-tiles (MR rows x one
-// or two lane vectors) hold a C sub-tile across one k panel, loaded from and
-// stored back to memory once per panel, so each element's chain stays
-// `C ... + t_k + t_{k+1} ...` in ascending k — bit-identical to the naive
-// loops while cutting B and C memory traffic by the tile factors.  Which
-// panels are packed, and which tile width covers a column, changes only
-// where a term is read from, never the terms or their order.
+// The output C is walked in (MC x NC) tiles, and each tile in KC-deep k
+// panels.  Where an operand panel's source layout differs from what the
+// micro-kernel reads, it is first packed into a buffer of the calling
+// thread: packing untransposes nt's B and, for wide tiles, tn's A.  Where
+// packing buys nothing the panel is read in place (see gemm_tiles).
+// Register micro-tiles (MR rows x one or two lane vectors) hold a C sub-tile
+// across one k panel, loaded from and stored back to memory once per panel,
+// so each element's chain stays `C ... + t_k + t_{k+1} ...` in ascending k —
+// bit-identical to the naive loops while cutting B and C memory traffic by
+// the tile factors.  Which panels are packed, and which tile width covers a
+// column, changes only where a term is read from, never the terms or their
+// order.
 //
 // The accumulator tile is held in explicit vector-extension lanes rather
 // than a float[][] array: GCC's scalar-replacement gives up on a 64-float
@@ -340,10 +231,14 @@ int64_t micro_columns(const AOperand& a, const float* b, int64_t ldb, float* c, 
 /// origin at op(A)'s (tile row 0, panel k 0) and `b` points at the B panel's
 /// origin (row stride ldb), packed or in place.  Columns go to the widest
 /// tile that fits — 32, 16, 8, then 4 lanes — and the last n % 4 to
-/// one-lane tiles.
+/// one-lane tiles.  Kept out of line, so each A mode's tile code is one
+/// function that GCC inlines the same way whatever the walk around it looks
+/// like.  Inlined into gemm_tiles, its 4- and 8-lane indexed column loops
+/// were called once per 4-row group, and NT3's Conv1D forward (k = 3-7
+/// taps, 4-8 outputs) ran 20-25 % slower.
 template <AMode M>
-void tile_panel(const AOperand& a, const float* b, int64_t ldb, float* c, int64_t ldc,
-                int64_t mlen, int64_t nlen, int64_t klen) {
+[[gnu::noinline]] void tile_panel(const AOperand& a, const float* b, int64_t ldb, float* c,
+                                  int64_t ldc, int64_t mlen, int64_t nlen, int64_t klen) {
   for (int64_t i = 0; i < mlen; i += MR) {
     const int64_t rows = std::min(MR, mlen - i);
     const AOperand ai = a.at(i, 0);
@@ -359,8 +254,8 @@ void tile_panel(const AOperand& a, const float* b, int64_t ldb, float* c, int64_
   }
 }
 
-/// Everything one GEMM call needs, independent of which worker runs a tile.
-/// `b_trans`: B is stored (n, k) with row stride ldb (the nt variant).
+/// Everything one GEMM call needs.  `b_trans`: B is stored (n, k) with row
+/// stride ldb (the nt variant).
 struct GemmSpec {
   AOperand a;
   const float* b;
@@ -371,11 +266,10 @@ struct GemmSpec {
   bool accumulate;
 };
 
-/// Per-worker pack buffers: thread-local, sized once, reused across calls.
-/// Lifetime = the worker thread's lifetime; validity of the *contents* is
-/// local to one packed panel inside one dispatch (each tile range re-packs
-/// what it needs), so stale bytes from a previous call can never leak into
-/// a result.
+/// Pack buffers: thread-local, sized once, reused across calls, so
+/// concurrent callers never share one.  Their *contents* are valid for one
+/// packed panel (every panel is packed before it is read), so stale bytes
+/// from a previous call can never leak into a result.
 struct PackBuffers {
   std::vector<float> a;  // MC x KC
   std::vector<float> b;  // KC x NC
@@ -431,13 +325,10 @@ void pack_b(const GemmSpec& s, float* dst, int64_t k0, int64_t klen, int64_t j0,
   }
 }
 
-/// Owner-computes walk over tile indices [lo, hi) of the (tiles_m x tiles_n)
-/// grid, flattened jc-major (t = jc * tiles_m + ic) so a worker's contiguous
-/// range shares B panels: for each jc column it owns a piece of, the worker
-/// packs B(kc, jc) once and reuses it across all of its ic tiles.  Each C
-/// element belongs to exactly one tile, each tile to exactly one range, and
-/// the k panels run ascending — one accumulation chain per element, owned
-/// end to end by one thread.
+/// Walks C one NC-wide column panel at a time; within a panel, k one KC
+/// panel at a time, packing B(kc, jc) once for every MC-tall row tile.
+/// Each C element belongs to exactly one tile and the k panels run
+/// ascending — one accumulation chain per element.
 ///
 /// A panel is read in place instead of packed when packing buys nothing,
 /// decided from the shape alone:
@@ -457,30 +348,17 @@ void pack_b(const GemmSpec& s, float* dst, int64_t k0, int64_t klen, int64_t j0,
 ///    input.  A row-major A with k > KC qualifies only up to
 ///    kNarrowInPlaceA floats.  Wider tiles pack A, gathering an indexed one
 ///    through its tables.
-void gemm_tile_range(const GemmSpec& s, int64_t tiles_m, int64_t lo, int64_t hi) {
+void gemm_tiles(const GemmSpec& s) {
+  if (s.k <= 0) {
+    // Nothing to reduce: the contract is still "overwrite with zeros"
+    // unless accumulating (matching the naive fill + empty loop).
+    if (!s.accumulate) std::fill(s.c, s.c + s.m * s.n, 0.0f);
+    return;
+  }
   PackBuffers& bufs = pack_buffers();
   const bool b_in_place = !s.b_trans && s.n <= NC && (s.n <= 2 * NR || s.m <= MC);
-  int64_t t = lo;
-  while (t < hi) {
-    const int64_t jc = t / tiles_m;
-    const int64_t group_end = std::min(hi, (jc + 1) * tiles_m);
-    const int64_t j0 = jc * NC;
+  for (int64_t j0 = 0; j0 < s.n; j0 += NC) {
     const int64_t nlen = std::min(NC, s.n - j0);
-    if (s.k <= 0) {
-      // Nothing to reduce: the contract is still "overwrite with zeros"
-      // unless accumulating (matching the naive fill + empty loop).
-      if (!s.accumulate) {
-        for (int64_t tt = t; tt < group_end; ++tt) {
-          const int64_t i0 = (tt % tiles_m) * MC;
-          const int64_t mlen = std::min(MC, s.m - i0);
-          float* ctile = s.c + i0 * s.n + j0;
-          for (int64_t r = 0; r < mlen; ++r)
-            std::fill(ctile + r * s.n, ctile + r * s.n + nlen, 0.0f);
-        }
-      }
-      t = group_end;
-      continue;
-    }
     const bool narrow = nlen <= 2 * NR;
     const bool a_in_place = s.a.mode != AMode::kRowMajor
                                 ? narrow
@@ -494,8 +372,7 @@ void gemm_tile_range(const GemmSpec& s, int64_t tiles_m, int64_t lo, int64_t hi)
         bp = bufs.b.data();
         ldb = nlen;
       }
-      for (int64_t tt = t; tt < group_end; ++tt) {
-        const int64_t i0 = (tt % tiles_m) * MC;
+      for (int64_t i0 = 0; i0 < s.m; i0 += MC) {
         const int64_t mlen = std::min(MC, s.m - i0);
         float* ctile = s.c + i0 * s.n + j0;
         if (kc == 0 && !s.accumulate) {
@@ -522,23 +399,14 @@ void gemm_tile_range(const GemmSpec& s, int64_t tiles_m, int64_t lo, int64_t hi)
         }
       }
     }
-    t = group_end;
   }
 }
 
 /// Every GEMM, the two inside a convolution's forward and dw included, is
-/// timed as one matmul and tiled over the pool above the FLOP cut.
+/// timed as one matmul.
 void gemm(const GemmSpec& s) {
   if (s.m <= 0 || s.n <= 0) return;
-  const int64_t flops = 2 * s.m * s.n * s.k;
-  timed(flops, record_matmul, prof::Phase::kGemm, [&] {
-    const int64_t tiles_m = (s.m + MC - 1) / MC;
-    const int64_t tiles_n = (s.n + NC - 1) / NC;
-    dispatch_tiles(tiles_m * tiles_n, static_cast<double>(flops),
-                   [&s, tiles_m](int64_t lo, int64_t hi) {
-                     gemm_tile_range(s, tiles_m, lo, hi);
-                   });
-  });
+  timed(2 * s.m * s.n * s.k, record_matmul, prof::Phase::kGemm, [&] { gemm_tiles(s); });
 }
 
 // ---------------------------------------------------------------------------
@@ -565,17 +433,16 @@ inline TapRange in_image_taps(int64_t x0, int64_t k, int64_t extent) {
   return {lo, std::clamp<int64_t>(extent - x0, lo, k)};
 }
 
-/// Scatter-add dcol back into dx for images [n_lo, n_hi), one run per
-/// in-image kernel row (channels-last storage makes the in-image taps of a
-/// kernel row one contiguous run of the input row).  Partitioned
-/// by image: patches of different images never overlap in dx.  Within an
-/// image each dx element receives at most one term per patch, in ascending
-/// patch order — the naive backward loop's order.
+/// Scatter-add dcol back into dx, one run per in-image kernel row
+/// (channels-last storage makes the in-image taps of a kernel row one
+/// contiguous run of the input row).  Each dx element receives at most one
+/// term per patch, in ascending patch order — the naive backward loop's
+/// order.
 void col2im_add_images(const float* __restrict__ dcol, float* __restrict__ dx,
-                       const ConvGeom& g, int64_t n_lo, int64_t n_hi) {
+                       const ConvGeom& g) {
   const int64_t r_cols = g.patch_cols();
   const int64_t run = g.kw * g.cin;
-  for (int64_t ni = n_lo; ni < n_hi; ++ni) {
+  for (int64_t ni = 0; ni < g.n; ++ni) {
     for (int64_t yo = 0; yo < g.oh; ++yo) {
       const int64_t y0 = yo * g.stride - g.pad_h;
       const TapRange kh = in_image_taps(y0, g.kh, g.h);
@@ -599,57 +466,6 @@ void col2im_add_images(const float* __restrict__ dcol, float* __restrict__ dx,
 // ---------------------------------------------------------------------------
 // Public API
 // ---------------------------------------------------------------------------
-
-int parse_thread_count(const char* text, int fallback, std::string* reason) {
-  if (reason != nullptr) reason->clear();
-  const auto reject = [&](const char* why) {
-    if (reason != nullptr) *reason = why;
-    return fallback;
-  };
-  if (text == nullptr || *text == '\0') return reject("empty value");
-  errno = 0;
-  char* end = nullptr;
-  const long n = std::strtol(text, &end, 10);
-  if (end == text) return reject("not an integer");
-  while (*end == ' ' || *end == '\t' || *end == '\n' || *end == '\r') ++end;
-  if (*end != '\0') return reject("trailing garbage after the number");
-  if (n < 1) return reject("below 1");
-  if (errno == ERANGE || n > kMaxComputeThreads) {
-    if (reason != nullptr)
-      *reason = "above the maximum of " + std::to_string(kMaxComputeThreads) +
-                ", clamped";
-    return kMaxComputeThreads;
-  }
-  return static_cast<int>(n);
-}
-
-void set_compute_threads(int n) noexcept {
-  int v = n;
-  if (n <= 0) {
-    v = hardware_threads();  // documented reset-to-hardware-default
-  } else if (n > kMaxComputeThreads) {
-    v = kMaxComputeThreads;
-    log_warn("set_compute_threads(", n, ") above the maximum, clamped to ", v);
-  }
-  g_compute_threads.store(v, std::memory_order_relaxed);
-}
-
-int compute_threads() noexcept {
-  int v = g_compute_threads.load(std::memory_order_relaxed);
-  if (v == 0) {
-    v = threads_from_env();
-    g_compute_threads.store(v, std::memory_order_relaxed);
-  }
-  return v;
-}
-
-// Reuses the nested-dispatch guard: a thread marked "in a compute chunk"
-// always takes dispatch_tiles' serial path.
-ScopedSerialKernels::ScopedSerialKernels() noexcept : prev_(tl_in_compute_chunk) {
-  tl_in_compute_chunk = true;
-}
-
-ScopedSerialKernels::~ScopedSerialKernels() { tl_in_compute_chunk = prev_; }
 
 void gemm_nn(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
              bool accumulate) {
@@ -760,14 +576,10 @@ void conv_backward(const float* x, const float* w, const float* dy, float* dx,
     gemm({{AMode::kIndexed, col.xpad, 0, col.off, col.base}, dy, g.cout, false, dw, r_cols,
           g.cout, rows, /*accumulate=*/true});
     if (dx == nullptr) return;
-    // dcol = dy * w^T, then scattered back into dx per image.
+    // dcol = dy * w^T, then scattered back into dx.
     std::vector<float>& dcol = scratch(1, static_cast<std::size_t>(rows * r_cols));
     gemm_nt(dy, w, dcol.data(), rows, r_cols, g.cout, /*accumulate=*/false);
-    // One tile = one image: patches of different images never overlap in dx.
-    dispatch_tiles(g.n, static_cast<double>(rows * r_cols),
-                   [&](int64_t lo, int64_t hi) {
-                     col2im_add_images(dcol.data(), dx, g, lo, hi);
-                   });
+    col2im_add_images(dcol.data(), dx, g);
   });
 }
 

@@ -1,29 +1,28 @@
-// Cache-blocked compute kernels, threaded above a FLOP cut: GEMM (nn/tn/nt)
-// and convolution through patch index tables, the hot path under every
-// candidate evaluation.
+// Cache-blocked compute kernels: GEMM (nn/tn/nt) and convolution through
+// patch index tables, the hot path under every candidate evaluation.
 //
 // Design contract (see DESIGN.md "Compute kernels"):
 //
 // * **Fixed reduction order.**  Every output element is produced by a single
 //   floating-point accumulation chain over the reduction index in ascending
-//   order, regardless of blocking factors or thread count.  Blocking only
-//   reorders *which element* is computed when, never the term order *within*
-//   an element.  The parallel driver partitions the output into a 2-D grid
-//   of (MC-row x NC-column) tiles and assigns each tile to exactly one
-//   worker (owner-computes, `swt::parallel_tiles`); an element's whole chain
-//   runs on its tile's owner, so the blocked kernels are bit-identical to
-//   the `naive::` references and to themselves at any `SWT_THREADS` — the
-//   property the registry/compare_runs CI gate and the trace
-//   bit-reproducibility test depend on.
-// * **Per-worker packed panels, where packing pays.**  Each worker packs
-//   the A and B panels a tile consumes into thread-local buffers (reused
-//   across calls, never shared), so threads do not contend on pack writes
-//   and the nt variant's strided B^T gather becomes a contiguous packed
-//   read.  Where a pack would only copy — an A or B already in the packed
-//   layout (B only when narrow or used by a single row tile), or A for
-//   tiles at most two micro-tiles wide — the panel is read in place
-//   instead, a pure function of the shape.  Packing copies values; it
-//   never reorders an accumulation chain.
+//   order, regardless of blocking factors.  Blocking only reorders *which
+//   element* is computed when, never the term order *within* an element, so
+//   the blocked kernels are bit-identical to the `naive::` references — the
+//   property the registry/compare_runs CI gate and the trace byte-identity
+//   gates depend on.
+// * **One thread per kernel.**  Every kernel runs on the thread that calls
+//   it.  The search's parallelism is one level up: several candidate
+//   evaluations train at once on the eval pool (`--eval-parallelism`), and
+//   concurrent callers share nothing, since pack buffers, patch tables and
+//   scratch are all thread-local.
+// * **Packed panels, where packing pays.**  The A and B panels a tile
+//   consumes are packed into the calling thread's buffers (reused across
+//   calls), so the nt variant's strided B^T gather becomes a contiguous
+//   packed read.  Where a pack would only copy — an A or B already in the
+//   packed layout (B only when narrow or used by a single row tile), or A
+//   for tiles at most two micro-tiles wide — the panel is read in place
+//   instead, a pure function of the shape.  Packing copies values; it never
+//   reorders an accumulation chain.
 // * **Narrow outputs run vectorized.**  Micro-tiles are 32, 16, 8 and 4
 //   lanes wide, so the 4-24-channel layers the search trains run at vector
 //   width; only the last n % 4 columns take one-lane tiles.
@@ -35,80 +34,23 @@
 //   shortcut made FLOP counts and timings depend on the weight values and
 //   silently swallowed signalling NaNs (0 * NaN must propagate).  Neither
 //   the blocked kernels nor the retained references skip zero terms.
-// * **Serial below a flops threshold.**  Waking the shared pool costs tens
-//   of microseconds, more than splitting a search-sized kernel saves;
-//   kernels smaller than `kParallelFlopThreshold` run on the calling thread,
-//   which covers every kernel a training batch of the four apps issues.
 //
 // The kernels feed `tensor.matmul_seconds` / `tensor.conv_seconds` gauges
 // (plus call/FLOP counters) into the process MetricsRegistry when metrics
-// are enabled, and aggregate per-worker resource counters into the
-// `prof.gemm.*` / `prof.conv.*` phase attribution so achieved GFLOP/s and
-// IPC stay correct when the work spans several pool threads.
+// are enabled, and the calling thread's resource counters into the
+// `prof.gemm.*` / `prof.conv.*` phase attribution (achieved GF/s, IPC).
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace swt::kernels {
 
-// ---------------------------------------------------------------------------
-// Threading knob
-// ---------------------------------------------------------------------------
-
-/// Upper bound on the compute-thread knob; values above it clamp (with a
-/// logged warning) rather than silently wrapping or exploding the dispatch.
-inline constexpr int kMaxComputeThreads = 1024;
-
-/// Number of tile owners the parallel driver splits a large kernel across.
-/// Defaults to the `SWT_THREADS` environment variable when set (validated by
-/// `parse_thread_count`, garbage falls back to the hardware default with a
-/// logged warning), otherwise to std::thread::hardware_concurrency().
-/// `n <= 0` resets to the hardware default; `n > kMaxComputeThreads` clamps
-/// with a logged warning.  Tile ranges execute on the shared
-/// `ThreadPool::global()`; results are bit-identical for every value.
-void set_compute_threads(int n) noexcept;
-[[nodiscard]] int compute_threads() noexcept;
-
-/// Strict parser for the `SWT_THREADS` override format: a base-10 integer
-/// with optional surrounding whitespace.  Returns the parsed value clamped
-/// to [1, kMaxComputeThreads]; empty/non-numeric/trailing-junk input and
-/// values below 1 return `fallback` instead.  When `reason` is non-null it
-/// is cleared, then set to a human-readable explanation whenever the input
-/// was not accepted verbatim — the caller decides whether to log it.
-[[nodiscard]] int parse_thread_count(const char* text, int fallback,
-                                     std::string* reason = nullptr);
-
-/// RAII guard: while alive, kernels invoked from the *current thread* run
-/// serially instead of dispatching row chunks to the shared pool.  Used by
-/// callers that are themselves one of several concurrent compute tasks —
-/// e.g. parallel candidate evaluations — where (a) the cores are
-/// already saturated by task-level parallelism and (b) nested pool dispatch
-/// from inside pool-blocked threads could starve the queue.  Results are
-/// bit-identical either way (fixed-reduction-order contract above).  Nests
-/// safely; per-thread, so guards on one thread do not affect another.
-class ScopedSerialKernels {
- public:
-  ScopedSerialKernels() noexcept;
-  ~ScopedSerialKernels();
-  ScopedSerialKernels(const ScopedSerialKernels&) = delete;
-  ScopedSerialKernels& operator=(const ScopedSerialKernels&) = delete;
-
- private:
-  bool prev_;
-};
-
-/// Kernels whose useful-FLOP count is below this run serially on the
-/// calling thread.  An empty 4-part dispatch of a pool that has gone idle
-/// takes 18-50 us at the median and up to milliseconds at p99 (bench_gemm's
-/// wake-cost row), against 10-400 us for a whole conv the search trains;
-/// split across the pool, such kernels took more wall time than CPU time.
-/// The largest kernel a training batch of the four apps issues, CIFAR's
-/// 24->24 conv at batch 16, is 10.6 MFLOP, so 2^25 keeps them all on the
-/// caller.  A validation pass runs the whole validation set as one batch:
-/// CIFAR's 96 images through a wide conv at 6x6-8x8 (35.8-63.7 MFLOP) still
-/// split, and run 1.7-2.5x faster for it even from a sleeping pool.
-inline constexpr std::int64_t kParallelFlopThreshold = std::int64_t{1} << 25;
+// bench/e2e/bench_e2e.cpp still names these two, and only it may: it
+// emplaces the guard for its parallel workloads and prints the count in its
+// report header.  Both do nothing, and both go with the next change to
+// bench/e2e.
+struct ScopedSerialKernels {};
+[[nodiscard]] constexpr int compute_threads() noexcept { return 1; }
 
 // ---------------------------------------------------------------------------
 // GEMM — row-major float32, C is (m x n)
@@ -193,7 +135,7 @@ struct PatchTables {
 [[nodiscard]] PatchTables patch_tables(const float* x, const ConvGeom& g);
 
 // ---------------------------------------------------------------------------
-// Optimizer update — elementwise Adam, serial on the calling thread
+// Optimizer update — elementwise Adam
 // ---------------------------------------------------------------------------
 
 /// The scalars one Adam step applies to a parameter tensor.

@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-
+#include <limits>
 #include <thread>
 
 #include "common/log.hpp"
@@ -121,6 +121,8 @@ TEST(Parse, DoubleAcceptsFiniteNumbersOnly) {
   EXPECT_FALSE(parse_double("inf").has_value());   // no knob means infinity
   EXPECT_FALSE(parse_double("nan").has_value());
   EXPECT_FALSE(parse_double("1e999").has_value()); // overflow
+  EXPECT_EQ(parse_double("4.9406564584124654e-324"),  // underflow to a subnormal
+            std::numeric_limits<double>::denorm_min());
 }
 
 }  // namespace

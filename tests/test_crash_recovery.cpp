@@ -5,8 +5,9 @@
 // --crash-after-evals) or asynchronously with SIGKILL at staggered wall-clock
 // points — then resumes in the parent and asserts the recovered trace is
 // *byte-identical* to an uninterrupted run's CSV: same scores, same virtual
-// timeline, same fault history, down to the last bit.  Kernels are pinned to
-// one compute thread so fork never races a live thread pool.
+// timeline, same fault history, down to the last bit.  Every kernel runs on
+// its calling thread and an eval pool lives only inside its search, so fork
+// never races a live thread pool.
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -22,7 +23,6 @@
 #include "exp/journal.hpp"
 #include "exp/runner.hpp"
 #include "exp/trace_io.hpp"
-#include "tensor/kernels.hpp"
 
 namespace swt {
 namespace {
@@ -32,7 +32,6 @@ namespace fs = std::filesystem;
 class CrashRecoveryFixture : public ::testing::Test {
  protected:
   CrashRecoveryFixture() : app_(make_app(AppId::kMnist, 31, {.data_scale = 0.2})) {
-    kernels::set_compute_threads(1);  // keep kernels inline: fork must not see worker threads
     root_ = fs::temp_directory_path() /
             ("swt_crash_recovery_" + std::to_string(::getpid()));
     fs::remove_all(root_);

@@ -87,13 +87,16 @@ TEST(EventBus, ConcurrentEmissionKeepsLinesWellFormed) {
   bus.set_enabled(true);
   constexpr std::size_t kEmitters = 64;
   constexpr int kPerEmitter = 25;
-  parallel_for(kEmitters, [&](std::size_t i) {
-    for (int k = 0; k < kPerEmitter; ++k)
-      bus.emit(EventType::kCkptWrite, static_cast<double>(k), static_cast<int>(i),
-               static_cast<long>(i * 1000 + k),
-               {{"key", event_str("ckpt-" + std::to_string(i))},
-                {"bytes", std::to_string(k)}});
-  });
+  ThreadPool pool;
+  for (std::size_t i = 0; i < kEmitters; ++i)
+    pool.submit([&, i] {
+      for (int k = 0; k < kPerEmitter; ++k)
+        bus.emit(EventType::kCkptWrite, static_cast<double>(k), static_cast<int>(i),
+                 static_cast<long>(i * 1000 + k),
+                 {{"key", event_str("ckpt-" + std::to_string(i))},
+                  {"bytes", std::to_string(k)}});
+    });
+  pool.wait_idle();
   bus.set_enabled(false);
 
   std::istringstream lines(sink.str());

@@ -1,24 +1,17 @@
-// Differential harness for the blocked/parallel compute kernels: every
-// blocked result must equal the retained naive:: reference (same reduction
-// order, so equality is exact), and results must be invariant across
-// compute-thread counts — the contract the trace bit-reproducibility of the
+// Differential harness for the blocked compute kernels: every blocked
+// result must equal the retained naive:: reference (same reduction order,
+// so equality is exact) — the contract the trace bit-reproducibility of the
 // whole search stack rests on.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/log.hpp"
 #include "common/rng.hpp"
-#include "exp/runner.hpp"
-#include "exp/trace_io.hpp"
-#include "nas/search_space.hpp"
-#include "obs/metrics.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/tensor.hpp"
 
@@ -32,19 +25,6 @@ std::vector<float> random_vec(std::int64_t n, std::uint64_t seed) {
   std::vector<float> v(static_cast<std::size_t>(n));
   for (auto& x : v) x = static_cast<float>(rng.uniform(-1.0, 1.0));
   return v;
-}
-
-/// Restores the compute-thread knob on scope exit so tests don't leak state.
-struct ThreadGuard {
-  int saved = k::compute_threads();
-  ~ThreadGuard() { k::set_compute_threads(saved); }
-};
-
-/// Tile ranges the pool has run: it moves only when a kernel is split
-/// across threads.
-std::int64_t pool_ranges() {
-  EXPECT_TRUE(metrics_enabled());
-  return metrics().counter("pool.tile_ranges_total").value();
 }
 
 /// Bit-exactness gate: memcmp first (the actual contract), elementwise only
@@ -108,8 +88,6 @@ class GemmDifferential : public ::testing::TestWithParam<GemmShape> {};
 
 TEST_P(GemmDifferential, AllVariantsMatchNaive) {
   const auto [m, n, kk] = GetParam();
-  const ThreadGuard guard;
-  k::set_compute_threads(1);
   const auto a = random_vec(std::max<std::int64_t>(m * kk, kk * m), 1000 + m);
   const auto b = random_vec(std::max<std::int64_t>(kk * n, n * kk), 2000 + n);
   const auto c0 = random_vec(m * n, 3000 + kk);  // accumulate seed content
@@ -139,77 +117,16 @@ TEST_P(GemmDifferential, AllVariantsMatchNaive) {
 
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmDifferential, ::testing::ValuesIn(kGemmShapes));
 
-TEST(Kernels, GemmBitIdenticalAcrossThreadCounts) {
-  // Large enough to clear kParallelFlopThreshold (2*300*340*190 ~ 38.8 MFLOP).
-  const std::int64_t m = 300, n = 340, kk = 190;
-  ASSERT_GE(2 * m * n * kk, k::kParallelFlopThreshold);
-  const auto a = random_vec(m * kk, 1);    // (m, kk) for nn/nt; (kk, m) for tn
-  const auto b = random_vec(kk * n, 2);    // (kk, n) for nn/tn; (n, kk) for nt
-  const ThreadGuard guard;
-  const auto bt = random_vec(n * kk, 3);   // (n, kk): B for nt
-
-  k::set_compute_threads(1);
-  std::vector<float> ref(static_cast<std::size_t>(m * n));
-  k::gemm_nn(a.data(), b.data(), ref.data(), m, n, kk);
-  std::vector<float> ref_naive(static_cast<std::size_t>(m * n));
-  k::naive::gemm_nn(a.data(), b.data(), ref_naive.data(), m, n, kk);
-  ASSERT_EQ(0, std::memcmp(ref.data(), ref_naive.data(), ref.size() * sizeof(float)));
-
-  const auto run_all = [&](std::vector<float>& c_nn, std::vector<float>& c_tn,
-                           std::vector<float>& c_nt) {
-    k::gemm_nn(a.data(), b.data(), c_nn.data(), m, n, kk);
-    // tn reads A as stored (kk, m): same buffer, transposed interpretation.
-    k::gemm_tn(a.data(), b.data(), c_tn.data(), m, n, kk);
-    k::gemm_nt(a.data(), bt.data(), c_nt.data(), m, n, kk);
-  };
-  std::vector<float> nn1(ref.size()), tn1(ref.size()), nt1(ref.size());
-  run_all(nn1, tn1, nt1);
-  for (const int threads : {2, 4, 8, 16}) {
-    k::set_compute_threads(threads);
-    std::vector<float> nn(ref.size()), tn(ref.size()), nt(ref.size());
-    const std::int64_t ranges = pool_ranges();
-    run_all(nn, tn, nt);
-    EXPECT_GT(pool_ranges(), ranges) << "no pool dispatch at " << threads << " threads";
-    EXPECT_EQ(0, std::memcmp(nn.data(), nn1.data(), nn.size() * sizeof(float)))
-        << "gemm_nn at " << threads << " threads";
-    EXPECT_EQ(0, std::memcmp(tn.data(), tn1.data(), tn.size() * sizeof(float)))
-        << "gemm_tn at " << threads << " threads";
-    EXPECT_EQ(0, std::memcmp(nt.data(), nt1.data(), nt.size() * sizeof(float)))
-        << "gemm_nt at " << threads << " threads";
-  }
-  // Serial-guard arm: under ScopedSerialKernels the same calls must take the
-  // in-thread path (no pool dispatch) and still produce identical bytes.
-  {
-    k::set_compute_threads(8);
-    const k::ScopedSerialKernels serial;
-    std::vector<float> nn(ref.size()), tn(ref.size()), nt(ref.size());
-    const std::int64_t ranges = pool_ranges();
-    run_all(nn, tn, nt);
-    EXPECT_EQ(pool_ranges(), ranges) << "pool dispatch under ScopedSerialKernels";
-    EXPECT_EQ(0, std::memcmp(nn.data(), nn1.data(), nn.size() * sizeof(float)))
-        << "gemm_nn under ScopedSerialKernels";
-    EXPECT_EQ(0, std::memcmp(tn.data(), tn1.data(), tn.size() * sizeof(float)))
-        << "gemm_tn under ScopedSerialKernels";
-    EXPECT_EQ(0, std::memcmp(nt.data(), nt1.data(), nt.size() * sizeof(float)))
-        << "gemm_nt under ScopedSerialKernels";
-  }
-}
-
-// Many concurrent *callers* each dispatching parallel kernels — the shape of
-// wavefront evaluation, and the case TSan watches: per-worker pack buffers
-// must never be shared, and every caller must read back identical bytes.
+// Many concurrent callers — the shape of wavefront evaluation, and the case
+// TSan watches: per-thread pack buffers and scratch must never be shared,
+// and every caller must read back identical bytes.
 TEST(Kernels, ConcurrentCallersBitIdentical) {
   const std::int64_t m = 300, n = 340, kk = 190;
-  ASSERT_GE(2 * m * n * kk, k::kParallelFlopThreshold);
   const auto a = random_vec(m * kk, 31);
   const auto b = random_vec(kk * n, 32);
-  const ThreadGuard guard;
-  k::set_compute_threads(1);
   std::vector<float> ref(static_cast<std::size_t>(m * n));
-  k::gemm_nn(a.data(), b.data(), ref.data(), m, n, kk);
+  k::naive::gemm_nn(a.data(), b.data(), ref.data(), m, n, kk);
 
-  k::set_compute_threads(4);
-  const std::int64_t ranges = pool_ranges();
   constexpr int kCallers = 4;
   std::vector<std::vector<float>> out(kCallers,
                                       std::vector<float>(ref.size()));
@@ -217,89 +134,15 @@ TEST(Kernels, ConcurrentCallersBitIdentical) {
   callers.reserve(kCallers);
   for (int t = 0; t < kCallers; ++t) {
     callers.emplace_back([&, t] {
-      // Odd callers opt out of nested dispatch, as wavefront tasks do.
-      if (t % 2 == 1) {
-        const k::ScopedSerialKernels serial;
-        k::gemm_nn(a.data(), b.data(), out[static_cast<std::size_t>(t)].data(), m,
-                   n, kk);
-      } else {
-        k::gemm_nn(a.data(), b.data(), out[static_cast<std::size_t>(t)].data(), m,
-                   n, kk);
-      }
+      k::gemm_nn(a.data(), b.data(), out[static_cast<std::size_t>(t)].data(), m, n, kk);
     });
   }
   for (auto& th : callers) th.join();
-  EXPECT_GT(pool_ranges(), ranges) << "the even callers never reached the pool";
   for (int t = 0; t < kCallers; ++t) {
     EXPECT_EQ(0, std::memcmp(out[static_cast<std::size_t>(t)].data(), ref.data(),
                              ref.size() * sizeof(float)))
         << "caller " << t;
   }
-}
-
-TEST(Kernels, ComputeThreadsKnob) {
-  const ThreadGuard guard;
-  k::set_compute_threads(3);
-  EXPECT_EQ(3, k::compute_threads());
-  k::set_compute_threads(0);  // reset to hardware default
-  EXPECT_GE(k::compute_threads(), 1);
-}
-
-TEST(Kernels, SetComputeThreadsClampsAboveMaximumWithWarning) {
-  const ThreadGuard guard;
-  std::vector<std::string> warnings;
-  set_log_sink([&warnings](LogLevel level, const std::string& msg) {
-    if (level == LogLevel::kWarn) warnings.push_back(msg);
-  });
-  k::set_compute_threads(k::kMaxComputeThreads + 5);
-  set_log_sink({});
-  EXPECT_EQ(k::kMaxComputeThreads, k::compute_threads());
-  ASSERT_EQ(1u, warnings.size());
-  EXPECT_NE(std::string::npos, warnings[0].find("clamped")) << warnings[0];
-}
-
-TEST(Kernels, ParseThreadCountAcceptsPlainIntegers) {
-  std::string reason;
-  EXPECT_EQ(1, k::parse_thread_count("1", 7, &reason));
-  EXPECT_TRUE(reason.empty());
-  EXPECT_EQ(16, k::parse_thread_count("16", 7, &reason));
-  EXPECT_TRUE(reason.empty());
-  EXPECT_EQ(8, k::parse_thread_count("  8\n", 7, &reason));  // whitespace ok
-  EXPECT_TRUE(reason.empty());
-  EXPECT_EQ(k::kMaxComputeThreads,
-            k::parse_thread_count(std::to_string(k::kMaxComputeThreads).c_str(), 7,
-                                  &reason));
-  EXPECT_TRUE(reason.empty());
-}
-
-TEST(Kernels, ParseThreadCountRejectsGarbageWithReason) {
-  struct Case {
-    const char* text;
-    const char* why;
-  };
-  const Case rejected[] = {
-      {"", "empty"},          {"banana", "integer"}, {"4x", "trailing"},
-      {"3.5", "trailing"},    {"0", "below"},        {"-2", "below"},
-      {"0x10", "trailing"},
-  };
-  for (const Case& c : rejected) {
-    std::string reason;
-    EXPECT_EQ(7, k::parse_thread_count(c.text, 7, &reason))
-        << "input \"" << c.text << "\"";
-    EXPECT_NE(std::string::npos, reason.find(c.why))
-        << "input \"" << c.text << "\" gave reason \"" << reason << "\"";
-  }
-  EXPECT_EQ(7, k::parse_thread_count(nullptr, 7));
-}
-
-TEST(Kernels, ParseThreadCountClampsHugeValues) {
-  std::string reason;
-  EXPECT_EQ(k::kMaxComputeThreads, k::parse_thread_count("4096", 7, &reason));
-  EXPECT_NE(std::string::npos, reason.find("clamped")) << reason;
-  // Out of long range entirely (ERANGE path).
-  EXPECT_EQ(k::kMaxComputeThreads,
-            k::parse_thread_count("99999999999999999999999", 7, &reason));
-  EXPECT_NE(std::string::npos, reason.find("clamped")) << reason;
 }
 
 // -----------------------------------------------------------------------
@@ -352,43 +195,26 @@ const ConvCase kConvCases[] = {
     {2, 8, 8, 3, 3, 3, 5, 2, 0, 0, 4, 4},
     // "same" 4x4 at stride 1 on 6x6: leading pad 1, trailing 2.
     {2, 6, 6, 2, 4, 4, 6, 1, 1, 1, 6, 6},
-    // Above kParallelFlopThreshold (75.5 MFLOP): the pool splits it, and the
-    // 64-wide output packs the indexed A.
+    // 75.5 MFLOP, and the 64-wide output packs the indexed A.
     {16, 16, 16, 16, 3, 3, 64, 1, 1, 1},
 };
 
 class ConvDifferential : public ::testing::TestWithParam<ConvCase> {};
 
-/// A conv runs on the pool only above the FLOP cut, and then only when there
-/// are threads to split it over; every training-batch conv of the search
-/// stays on the caller.
-void expect_pool_use(const k::ConvGeom& g, int threads, std::int64_t ranges_before) {
-  const bool split = threads > 1 && g.flops() >= k::kParallelFlopThreshold;
-  EXPECT_EQ(split, pool_ranges() > ranges_before)
-      << g.flops() << " FLOP at " << threads << " threads";
-}
-
 TEST_P(ConvDifferential, ForwardMatchesNaive) {
   const k::ConvGeom g = make_geom(GetParam());
-  const ThreadGuard guard;
   const auto x = random_vec(g.n * g.h * g.w * g.cin, 11);
   const auto w = random_vec(g.kh * g.kw * g.cin * g.cout, 12);
   const auto bias = random_vec(g.cout, 13);
   std::vector<float> want(static_cast<std::size_t>(g.patch_rows() * g.cout));
   k::naive::conv_forward(x.data(), w.data(), bias.data(), want.data(), g);
-  for (const int threads : {1, 2, 8}) {
-    k::set_compute_threads(threads);
-    std::vector<float> got(want.size());
-    const std::int64_t ranges = pool_ranges();
-    k::conv_forward(x.data(), w.data(), bias.data(), got.data(), g);
-    expect_pool_use(g, threads, ranges);
-    expect_equal(got, want, "conv_forward");
-  }
+  std::vector<float> got(want.size());
+  k::conv_forward(x.data(), w.data(), bias.data(), got.data(), g);
+  expect_equal(got, want, "conv_forward");
 }
 
 TEST_P(ConvDifferential, BackwardMatchesNaive) {
   const k::ConvGeom g = make_geom(GetParam());
-  const ThreadGuard guard;
   const std::int64_t x_size = g.n * g.h * g.w * g.cin;
   const std::int64_t w_size = g.kh * g.kw * g.cin * g.cout;
   const auto x = random_vec(x_size, 21);
@@ -402,24 +228,18 @@ TEST_P(ConvDifferential, BackwardMatchesNaive) {
   std::vector<float> dw_want = dw0, db_want = db0;
   k::naive::conv_backward(x.data(), w.data(), dy.data(), dx_want.data(),
                           dw_want.data(), db_want.data(), g);
-  for (const int threads : {1, 2, 8}) {
-    k::set_compute_threads(threads);
-    std::vector<float> dx(static_cast<std::size_t>(x_size), 0.0f);
-    std::vector<float> dw = dw0, db = db0;
-    const std::int64_t ranges = pool_ranges();
-    k::conv_backward(x.data(), w.data(), dy.data(), dx.data(), dw.data(), db.data(),
-                     g);
-    expect_pool_use(g, threads, ranges);
-    expect_equal(dx, dx_want, "conv_backward dx");
-    expect_equal(dw, dw_want, "conv_backward dw");
-    expect_equal(db, db_want, "conv_backward db");
-    // A first layer requests no input gradient: dw and db must not change.
-    std::vector<float> dw_only = dw0, db_only = db0;
-    k::conv_backward(x.data(), w.data(), dy.data(), /*dx=*/nullptr, dw_only.data(),
-                     db_only.data(), g);
-    expect_equal(dw_only, dw_want, "conv_backward(dx = null) dw");
-    expect_equal(db_only, db_want, "conv_backward(dx = null) db");
-  }
+  std::vector<float> dx(static_cast<std::size_t>(x_size), 0.0f);
+  std::vector<float> dw = dw0, db = db0;
+  k::conv_backward(x.data(), w.data(), dy.data(), dx.data(), dw.data(), db.data(), g);
+  expect_equal(dx, dx_want, "conv_backward dx");
+  expect_equal(dw, dw_want, "conv_backward dw");
+  expect_equal(db, db_want, "conv_backward db");
+  // A first layer requests no input gradient: dw and db must not change.
+  std::vector<float> dw_only = dw0, db_only = db0;
+  k::conv_backward(x.data(), w.data(), dy.data(), /*dx=*/nullptr, dw_only.data(),
+                   db_only.data(), g);
+  expect_equal(dw_only, dw_want, "conv_backward(dx = null) dw");
+  expect_equal(db_only, db_want, "conv_backward(dx = null) db");
 }
 
 /// Every (patch, tap) the tables address reads the input pixel the direct
@@ -560,54 +380,6 @@ TEST(Kernels, AdamUpdateMatchesNaive) {
       expect_equal(v, v_ref, "adam v");
     }
   }
-}
-
-// -----------------------------------------------------------------------
-// End-to-end: a fixed-seed search writes a byte-identical trace CSV at 1
-// and 4 compute threads (the registry/compare_runs CI gate's assumption).
-// -----------------------------------------------------------------------
-
-TEST(Kernels, SearchTraceBitReproducibleAcrossThreadCounts) {
-  // No training-batch kernel reaches kParallelFlopThreshold; a validation
-  // pass, one batch of the whole validation set, can.  CIFAR's 96
-  // validation images through a "same" 16->24 or 24->24 conv at 8x8 are
-  // 42.5 or 63.7 MFLOP, and every candidate of this space runs one, so the
-  // 4-thread search splits kernels over the pool.
-  AppConfig app = make_app(AppId::kCifar, 11);
-  app.space.vns = {
-      {"conv0",
-       {OpSpec::conv2d(16, 3, Padding::kSame), OpSpec::conv2d(24, 3, Padding::kSame)}},
-      {"conv1",
-       {OpSpec::conv2d(24, 3, Padding::kSame), OpSpec::conv2d(24, 3, Padding::kSame, 5e-4f)}},
-      {"dense0", {OpSpec::identity(), OpSpec::dense(16, ActKind::kRelu)}},
-  };
-  app.space.towers = {{Slot::variable(0), Slot::variable(1), Slot::fixed(OpSpec::flatten()),
-                       Slot::variable(2), Slot::fixed(OpSpec::dense(10))}};
-  NasRunConfig cfg;
-  cfg.mode = TransferMode::kLCS;
-  cfg.n_evals = 10;
-  cfg.seed = 7;
-  cfg.evolution = {.population_size = 4, .sample_size = 2};
-  cfg.train_subset_fraction = 0.25;  // a short epoch: the validation pass is the point
-  // Fixed virtual train time: wall-clock noise would otherwise differ in the
-  // CSV regardless of the kernels.
-  cfg.cluster.fixed_train_seconds = 5.0;
-
-  const ThreadGuard guard;
-  const auto run_to_csv = [&](int threads) {
-    k::set_compute_threads(threads);
-    const std::int64_t ranges = pool_ranges();
-    const NasRun run = run_nas(app, cfg);
-    EXPECT_EQ(threads > 1, pool_ranges() > ranges)
-        << "pool dispatch at " << threads << " threads";
-    std::ostringstream csv;
-    write_trace_csv(csv, run.trace);
-    return csv.str();
-  };
-  const std::string csv1 = run_to_csv(1);
-  const std::string csv4 = run_to_csv(4);
-  EXPECT_FALSE(csv1.empty());
-  EXPECT_EQ(csv1, csv4) << "trace CSV differs between 1 and 4 compute threads";
 }
 
 }  // namespace

@@ -86,9 +86,12 @@ TEST(MetricsConcurrency, CounterIncrementsFromPoolWorkersAreLossless) {
   MetricsRegistry reg;
   Counter& c = reg.counter("concurrent");
   constexpr std::size_t kTasks = 64, kPerTask = 10'000;
-  parallel_for(kTasks, [&](std::size_t) {
-    for (std::size_t i = 0; i < kPerTask; ++i) c.add();
-  });
+  ThreadPool pool;
+  for (std::size_t t = 0; t < kTasks; ++t)
+    pool.submit([&] {
+      for (std::size_t i = 0; i < kPerTask; ++i) c.add();
+    });
+  pool.wait_idle();
   EXPECT_EQ(c.value(), static_cast<std::int64_t>(kTasks * kPerTask));
 }
 
@@ -97,12 +100,15 @@ TEST(MetricsConcurrency, GaugeAndHistogramAccumulateLosslessly) {
   Gauge& g = reg.gauge("seconds_total");
   Histogram& h = reg.histogram("latency", {1.0, 2.0});
   constexpr std::size_t kTasks = 32, kPerTask = 2'000;
-  parallel_for(kTasks, [&](std::size_t) {
-    for (std::size_t i = 0; i < kPerTask; ++i) {
-      g.add(0.5);
-      h.observe(1.5);
-    }
-  });
+  ThreadPool pool;
+  for (std::size_t t = 0; t < kTasks; ++t)
+    pool.submit([&] {
+      for (std::size_t i = 0; i < kPerTask; ++i) {
+        g.add(0.5);
+        h.observe(1.5);
+      }
+    });
+  pool.wait_idle();
   EXPECT_DOUBLE_EQ(g.value(), 0.5 * kTasks * kPerTask);
   EXPECT_EQ(h.count(), kTasks * kPerTask);
   EXPECT_DOUBLE_EQ(h.sum(), 1.5 * kTasks * kPerTask);
@@ -160,8 +166,10 @@ TEST(MetricsConcurrency, ScrapeUnderEightWritersSeesBucketsBeforeCount) {
 TEST(MetricsConcurrency, ConcurrentGetOrCreateReturnsOneInstrument) {
   MetricsRegistry reg;
   std::vector<Counter*> seen(64);
-  parallel_for(seen.size(),
-               [&](std::size_t i) { seen[i] = &reg.counter("shared.name"); });
+  ThreadPool pool;
+  for (std::size_t i = 0; i < seen.size(); ++i)
+    pool.submit([&, i] { seen[i] = &reg.counter("shared.name"); });
+  pool.wait_idle();
   for (Counter* p : seen) EXPECT_EQ(p, seen[0]);
 }
 
@@ -315,11 +323,14 @@ TEST(SpanTracer, ConcurrentRecordingLosesNoEvents) {
   SpanTracer tracer;
   tracer.set_enabled(true);
   constexpr std::size_t kTasks = 32, kPerTask = 200;
-  parallel_for(kTasks, [&](std::size_t) {
-    for (std::size_t i = 0; i < kPerTask; ++i) {
-      const ScopedSpan s("work", "wall", tracer);
-    }
-  });
+  ThreadPool pool;
+  for (std::size_t t = 0; t < kTasks; ++t)
+    pool.submit([&] {
+      for (std::size_t i = 0; i < kPerTask; ++i) {
+        const ScopedSpan s("work", "wall", tracer);
+      }
+    });
+  pool.wait_idle();
   EXPECT_EQ(tracer.size(), kTasks * kPerTask);
 }
 

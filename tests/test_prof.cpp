@@ -84,7 +84,9 @@ TEST(Collapsed, RoundTripsIncludingFramesWithSpaces) {
   EXPECT_NE(text.find("main;run();swt::gemm<float, 8>(int, int) 7\n"),
             std::string::npos);
 
-  std::istringstream in("# header comment\n" + text + "\n# trailing\n");
+  // A count with a sign or a suffix is no count: those lines are skipped.
+  std::istringstream in("# header comment\n" + text +
+                        "main;negative -1\nmain;suffixed 3x\n\n# trailing\n");
   const prof::SymbolizedProfile back = prof::parse_collapsed(in);
   ASSERT_EQ(back.stacks.size(), 2u);
   EXPECT_EQ(back.total_samples, 9u);

@@ -93,13 +93,17 @@ TEST(TimeSeriesStore, CsvRoundTripsAllSeries) {
 }
 
 TEST(TimeSeriesStore, CsvReaderRejectsMalformedRowsWithLineNumber) {
-  TimeSeriesStore store(4);
-  std::istringstream in("series,wall_s,virtual_s,value\nx,1.0,2.0\n");
-  try {
-    read_series_csv(in, store);
-    FAIL() << "expected malformed-row rejection";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("2"), std::string::npos);
+  // A missing column, and numbers with trailing garbage that stod alone
+  // would read as 1.5 and 3.
+  for (const char* row : {"x,1.0,2.0", "x,1.5x,2.0,3.0", "x,1.0,2.0,3abc"}) {
+    TimeSeriesStore store(4);
+    std::istringstream in(std::string("series,wall_s,virtual_s,value\n") + row + "\n");
+    try {
+      read_series_csv(in, store);
+      ADD_FAILURE() << "expected malformed-row rejection of " << row;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos) << e.what();
+    }
   }
 }
 

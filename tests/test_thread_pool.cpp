@@ -2,16 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cstdint>
-#include <memory>
-#include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
-#include <utility>
-#include <vector>
 
 namespace swt {
 namespace {
@@ -50,179 +43,9 @@ TEST(ThreadPool, TasksCanSubmitMoreTasks) {
   EXPECT_EQ(counter.load(), 10);
 }
 
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(1000, [&](std::size_t i) { ++hits[i]; }, &pool);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, ZeroIterationsIsNoop) {
-  ThreadPool pool(2);
-  parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; }, &pool);
-}
-
-TEST(ParallelFor, SingleIteration) {
-  ThreadPool pool(2);
-  std::atomic<int> calls{0};
-  parallel_for(1, [&](std::size_t i) {
-    EXPECT_EQ(i, 0u);
-    ++calls;
-  }, &pool);
-  EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(ParallelFor, SerialFallbackOnSingleThreadPool) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  parallel_for(16, [&](std::size_t i) { order.push_back(static_cast<int>(i)); }, &pool);
-  std::vector<int> expected(16);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);  // single-thread pool executes in order
-}
-
-TEST(ParallelFor, SumMatchesSerial) {
-  ThreadPool pool(4);
-  std::vector<long> partial(2048, 0);
-  parallel_for(2048, [&](std::size_t i) { partial[i] = static_cast<long>(i) * 3; }, &pool);
-  long total = std::accumulate(partial.begin(), partial.end(), 0L);
-  EXPECT_EQ(total, 3L * 2048 * 2047 / 2);
-}
-
-class ParallelForSizes : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ParallelForSizes, AllIndicesVisited) {
-  const std::size_t n = GetParam();
-  ThreadPool pool(3);
-  std::atomic<std::size_t> visited{0};
-  parallel_for(n, [&](std::size_t) { ++visited; }, &pool);
-  EXPECT_EQ(visited.load(), n);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, ParallelForSizes,
-                         ::testing::Values(1, 2, 3, 7, 8, 63, 64, 65, 513));
-
-// ---------------------------------------------------------------------------
-// parallel_tiles: the static owner-computes dispatch under the 2-D GEMM
-// partitioner.  Coverage must be exact and disjoint, the partition a pure
-// function of (count, parts), part 0 inline on the caller, and errors
-// rethrown deterministically (lowest part index wins).
-// ---------------------------------------------------------------------------
-
-TEST(ParallelTiles, RangesCoverExactlyAndDisjointly) {
-  ThreadPool pool(4);
-  for (const std::int64_t count : {1, 2, 3, 7, 8, 63, 64, 65, 513}) {
-    for (const int parts : {1, 2, 3, 4, 7, 16}) {
-      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(count));
-      parallel_tiles(count, parts,
-                     [&](int, std::int64_t lo, std::int64_t hi) {
-                       ASSERT_LE(lo, hi);
-                       for (std::int64_t i = lo; i < hi; ++i)
-                         ++hits[static_cast<std::size_t>(i)];
-                     },
-                     &pool);
-      for (const auto& h : hits)
-        EXPECT_EQ(h.load(), 1) << "count=" << count << " parts=" << parts;
-    }
-  }
-}
-
-TEST(ParallelTiles, PartitionIsDeterministic) {
-  ThreadPool pool(4);
-  const auto cuts = [&](std::int64_t count, int parts) {
-    std::mutex m;
-    std::vector<std::pair<int, std::pair<std::int64_t, std::int64_t>>> seen;
-    parallel_tiles(count, parts,
-                   [&](int part, std::int64_t lo, std::int64_t hi) {
-                     const std::scoped_lock lock(m);
-                     seen.emplace_back(part, std::make_pair(lo, hi));
-                   },
-                   &pool);
-    std::sort(seen.begin(), seen.end());
-    return seen;
-  };
-  const auto first = cuts(100, 7);
-  for (int rep = 0; rep < 5; ++rep) EXPECT_EQ(first, cuts(100, 7));
-  // Parts are balanced: range sizes differ by at most one.
-  std::int64_t lo_size = 100, hi_size = 0;
-  for (const auto& [part, range] : first) {
-    lo_size = std::min(lo_size, range.second - range.first);
-    hi_size = std::max(hi_size, range.second - range.first);
-  }
-  EXPECT_LE(hi_size - lo_size, 1);
-}
-
-TEST(ParallelTiles, ClampsPartsToCount) {
-  ThreadPool pool(4);
-  std::atomic<int> ranges{0};
-  std::atomic<std::int64_t> covered{0};
-  parallel_tiles(3, 16,
-                 [&](int, std::int64_t lo, std::int64_t hi) {
-                   ++ranges;
-                   covered += hi - lo;
-                 },
-                 &pool);
-  EXPECT_EQ(ranges.load(), 3);  // never more ranges than tiles
-  EXPECT_EQ(covered.load(), 3);
-}
-
-TEST(ParallelTiles, PartZeroRunsOnCallingThread) {
-  ThreadPool pool(4);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<bool> part0_on_caller{false};
-  parallel_tiles(64, 4,
-                 [&](int part, std::int64_t, std::int64_t) {
-                   if (part == 0)
-                     part0_on_caller = std::this_thread::get_id() == caller;
-                 },
-                 &pool);
-  EXPECT_TRUE(part0_on_caller.load());
-}
-
-TEST(ParallelTiles, ZeroCountIsNoop) {
-  ThreadPool pool(2);
-  parallel_tiles(0, 4,
-                 [](int, std::int64_t, std::int64_t) { FAIL() << "must not run"; },
-                 &pool);
-}
-
-TEST(ParallelTiles, LowestPartIndexExceptionWins) {
-  ThreadPool pool(4);
-  for (int rep = 0; rep < 10; ++rep) {
-    try {
-      parallel_tiles(16, 4,
-                     [](int part, std::int64_t, std::int64_t) {
-                       if (part == 1) throw std::runtime_error("part1");
-                       if (part == 3) throw std::logic_error("part3");
-                     },
-                     &pool);
-      FAIL() << "expected a rethrow";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "part1");  // deterministic despite both failing
-    }
-  }
-}
-
-TEST(ParallelTiles, PoolUsableAfterException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(parallel_tiles(8, 2,
-                              [](int part, std::int64_t, std::int64_t) {
-                                if (part == 0) throw std::runtime_error("boom");
-                              },
-                              &pool),
-               std::runtime_error);
-  std::atomic<int> counter{0};
-  parallel_tiles(8, 2,
-                 [&](int, std::int64_t lo, std::int64_t hi) {
-                   counter += static_cast<int>(hi - lo);
-                 },
-                 &pool);
-  EXPECT_EQ(counter.load(), 8);
-}
-
 // ---------------------------------------------------------------------------
 // Exception safety: a throwing task must never reach std::terminate; it is
-// captured and rethrown from the next wait_idle()/parallel_for().
+// captured and rethrown from the next wait_idle().
 // ---------------------------------------------------------------------------
 
 TEST(ThreadPoolExceptions, ThrowingTaskRethrownFromWaitIdle) {
@@ -265,30 +88,6 @@ TEST(ThreadPoolExceptions, PoolStaysUsableAfterRethrow) {
   for (int i = 0; i < 10; ++i) pool.submit([&counter] { ++counter; });
   pool.wait_idle();  // the captured error was cleared by the first rethrow
   EXPECT_EQ(counter.load(), 10);
-}
-
-TEST(ThreadPoolExceptions, ParallelForPropagatesAndFinishesOtherBlocks) {
-  ThreadPool pool(4);
-  std::atomic<int> visited{0};
-  // n <= workers * 4 gives one index per block, so every non-throwing index
-  // must still be visited even though one block failed.
-  EXPECT_THROW(parallel_for(
-                   16,
-                   [&](std::size_t i) {
-                     if (i == 7) throw std::runtime_error("boom");
-                     ++visited;
-                   },
-                   &pool),
-               std::runtime_error);
-  EXPECT_EQ(visited.load(), 15);
-}
-
-TEST(ThreadPoolExceptions, ParallelForSerialPathPropagates) {
-  ThreadPool pool(1);  // serial fallback runs on the calling thread
-  EXPECT_THROW(parallel_for(
-                   8, [](std::size_t i) { if (i == 3) throw std::logic_error("boom"); },
-                   &pool),
-               std::logic_error);
 }
 
 // ---------------------------------------------------------------------------

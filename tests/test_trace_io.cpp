@@ -182,23 +182,36 @@ TEST(TraceIo, CorruptCellReportsLineAndColumn) {
 }
 
 TEST(TraceIo, TrailingGarbageInNumericCellIsRejected) {
-  std::stringstream out;
-  Trace t;
-  EvalRecord r;
-  r.id = 3;
-  t.records.push_back(r);
-  write_trace_csv(out, t);
-  std::string text = out.str();
-  const auto pos = text.find("\n3,");
-  ASSERT_NE(pos, std::string::npos);
-  text.replace(pos, 3, "\n3x,");  // id becomes "3x": stol would accept the prefix
-  std::stringstream in(text);
-  try {
-    (void)read_trace_csv(in);
-    FAIL() << "expected read_trace_csv to throw";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("column 'id'"), std::string::npos) << msg;
+  struct Case {
+    std::size_t column;
+    const char* name;
+    const char* cell;
+  };
+  const Case cases[] = {
+      {0, "id", "3x"},                   // stol would accept the prefix
+      {12, "ckpt_bytes", "-30552"},      // stoull wraps it to 2^64 - 30552
+      {20, "faults", "4294967296"},      // UINT_MAX + 1 would truncate to 0
+  };
+  for (const Case& c : cases) {
+    std::stringstream out;
+    Trace t;
+    EvalRecord r;
+    r.id = 3;
+    t.records.push_back(r);
+    write_trace_csv(out, t);
+    std::string text = out.str();
+    // The row is the third line; replace its cell number `c.column`.
+    std::size_t begin = text.find("\n3,") + 1;
+    for (std::size_t col = 0; col < c.column; ++col) begin = text.find(',', begin) + 1;
+    text.replace(begin, text.find(',', begin) - begin, c.cell);
+    std::stringstream in(text);
+    try {
+      (void)read_trace_csv(in);
+      ADD_FAILURE() << "expected read_trace_csv to reject " << c.name << " = " << c.cell;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(std::string("column '") + c.name + "'"), std::string::npos) << msg;
+    }
   }
 }
 
@@ -225,14 +238,17 @@ TEST(TraceIo, CorruptArchOpReportsArchColumn) {
 }
 
 TEST(TraceIo, CorruptPreambleValueReportsKey) {
-  std::stringstream in("# swtnas trace, num_workers=two, makespan=0\n");
-  try {
-    (void)read_trace_csv(in);
-    FAIL() << "expected read_trace_csv to throw";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("num_workers"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("\"two\""), std::string::npos) << msg;
+  // "8x" is a number with trailing garbage, which stoi alone would accept.
+  for (const std::string value : {"two", "8x"}) {
+    std::stringstream in("# swtnas trace, num_workers=" + value + ", makespan=0\n");
+    try {
+      (void)read_trace_csv(in);
+      ADD_FAILURE() << "expected read_trace_csv to reject num_workers=" << value;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("num_workers"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("\"" + value + "\""), std::string::npos) << msg;
+    }
   }
 }
 

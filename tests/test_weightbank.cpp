@@ -18,7 +18,6 @@
 #include "exp/registry.hpp"
 #include "exp/runner.hpp"
 #include "exp/trace_io.hpp"
-#include "tensor/kernels.hpp"
 
 namespace swt {
 namespace {
@@ -521,7 +520,6 @@ TEST(RegistryBank, ConfigHashFoldsBankKnobsOnlyWhenEnabled) {
 class WarmStartFixture : public ::testing::Test {
  protected:
   WarmStartFixture() : app_(make_app(AppId::kMnist, 31, {.data_scale = 0.2})) {
-    kernels::set_compute_threads(1);
     root_ = fs::temp_directory_path() /
             ("swt_weightbank_e2e_" + std::to_string(::getpid()));
     fs::remove_all(root_);
