@@ -3,17 +3,17 @@
 //
 // Reports GFLOP/s for all three GEMM variants (naive vs blocked), the conv
 // forward/backward blocked-vs-direct comparison at one large shape and at
-// the shapes the search trains, and the Adam update (vector kernel vs
-// scalar loop) at the search's model sizes — all into
-// BENCH_bench_gemm.json via BenchResultFile.  Every timed pair is also
-// differentially checked (blocked output must equal the reference bit for
-// bit), so the bench doubles as a large-shape correctness harness and exits
-// non-zero on any divergence.
+// the shapes the search trains, Dense's backward dx GEMM at the search's
+// layer sizes, the Adam update (vector kernel vs scalar loop) at its model
+// sizes and tanh over an NT3 activation — all into BENCH_bench_gemm.json
+// via BenchResultFile.  Every timed pair is also differentially checked
+// (blocked output must equal the reference bit for bit), so the bench
+// doubles as a large-shape correctness harness and exits non-zero on any
+// divergence.
 //
 //   --smoke   trim sizes/repetitions for CI (keeps the 256^3 rows)
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -291,6 +291,41 @@ void search_shape_study(bool smoke) {
   std::cout << "(the \"backward, no dx\" speedup is against the naive full backward)\n";
 }
 
+/// Dense backward's dx = dy * W^T (gemm_nt: dy is batch x out, W in x out)
+/// at the search's layer sizes, m x n x k = batch x in x out: NT3's widest
+/// and narrowest Dense after its Conv1D, an Uno tower layer and the CIFAR
+/// head.  The blocked kernel packs W's rows transposed before the micro-tiles
+/// read them, so with 8 or 16 rows the pack is most of the call.
+void dense_backward_study(bool smoke) {
+  print_banner(std::cout, "Dense backward dx (gemm_nt) at search shapes, single thread");
+  const int reps = smoke ? 20 : 200;
+  struct DenseShape {
+    const char* name;
+    std::int64_t m, n, k;
+  };
+  const DenseShape layers[] = {{"nt3 3072->128", 8, 3072, 128},
+                               {"nt3 3072->16", 8, 3072, 16},
+                               {"uno 208->64", 8, 208, 64},
+                               {"cifar head 576->10", 16, 576, 10}};
+  TableReport table({"layer", "m x n x k", "naive us", "blocked us", "speedup"});
+  for (const DenseShape& l : layers) {
+    const auto dy = random_vec(l.m * l.k, 27);
+    const auto w = random_vec(l.n * l.k, 28);
+    std::vector<float> dx_naive(static_cast<std::size_t>(l.m * l.n));
+    std::vector<float> dx_blocked(dx_naive.size());
+    const auto [t_naive, t_blocked] = time_best_pair(
+        reps,
+        [&] { k::naive::gemm_nt(dy.data(), w.data(), dx_naive.data(), l.m, l.n, l.k); },
+        [&] { k::gemm_nt(dy.data(), w.data(), dx_blocked.data(), l.m, l.n, l.k); });
+    check_match(dx_blocked, dx_naive, std::string(l.name) + " dense dx");
+    table.add_row({l.name,
+                   std::to_string(l.m) + "x" + std::to_string(l.n) + "x" + std::to_string(l.k),
+                   TableReport::cell(t_naive * 1e6, 1), TableReport::cell(t_blocked * 1e6, 1),
+                   TableReport::cell(t_naive / t_blocked, 2) + "x"});
+  }
+  table.print(std::cout);
+}
+
 /// One Adam step over the median CIFAR, Uno and NT3 model sizes of a
 /// search: the vector kernel against the scalar reference loop, each
 /// stepping its own copy of w, m and v, which must end byte-identical.
@@ -331,27 +366,61 @@ void search_optimizer_study(bool smoke) {
   table.print(std::cout);
 }
 
+/// tanh over one NT3 activation (8 x 3072 values): the std::tanh loop the
+/// Activation layer ran before, the scalar fdlibm transcription and the lane
+/// kernel, which must match the transcription bit for bit.  The sweep count
+/// compares the transcription with the host libm over every 4099th bit
+/// pattern: it describes that libm (0 where tanhf is fdlibm's, as in glibc
+/// 2.36) and gates nothing, since the search never calls std::tanh.
+void tanh_study(bool smoke) {
+  print_banner(std::cout, "tanh over an NT3 activation, single thread");
+  const int reps = smoke ? 20 : 200;
+  const std::int64_t n = 8 * 3072;
+  std::vector<float> x = random_vec(n, 29);
+  for (float& v : x) v *= 4.0f;  // both of tanh's expm1f branches
+  std::vector<float> y_std(x.size()), y_naive(x.size()), y_kernel(x.size());
+  const auto [t_std, t_kernel] = time_best_pair(
+      reps, [&] { for (std::size_t i = 0; i < x.size(); ++i) y_std[i] = std::tanh(x[i]); },
+      [&] { k::tanh(x.data(), y_kernel.data(), n); });
+  const double t_naive = time_best(reps, [&] { k::naive::tanh(x.data(), y_naive.data(), n); });
+  check_match(y_kernel, y_naive, "tanh kernel");
+
+  std::int64_t swept = 0, differ = 0;
+  for (std::uint64_t b = 0; b <= 0xffffffffu; b += 4099, ++swept) {
+    const auto bits = static_cast<std::uint32_t>(b);
+    float v = 0.0f, ref = 0.0f;
+    std::memcpy(&v, &bits, sizeof v);
+    k::naive::tanh(&v, &ref, 1);
+    const float libm = std::tanh(v);
+    if (std::memcmp(&libm, &ref, sizeof ref) != 0) ++differ;
+  }
+
+  const auto ns = [n](double seconds) {
+    return TableReport::cell(seconds / static_cast<double>(n) * 1e9, 3);
+  };
+  TableReport table({"loop", "ns/element", "vs std::tanh"});
+  table.add_row({"std::tanh", ns(t_std), "1.00x"});
+  table.add_row({"naive::tanh", ns(t_naive), TableReport::cell(t_std / t_naive, 2) + "x"});
+  table.add_row({"kernel", ns(t_kernel), TableReport::cell(t_std / t_kernel, 2) + "x"});
+  table.print(std::cout);
+  std::cout << "host libm: " << differ << " of " << swept
+            << " swept bit patterns give a std::tanh different from naive::tanh\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") {
-      smoke = true;
-      // Hide the flag from google-benchmark's parser.
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      break;
-    }
-  }
+  for (int i = 1; i < argc; ++i)
+    if (std::string(argv[i]) == "--smoke") smoke = true;
   swt::bench::BenchResultFile bench_json("bench_gemm");
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   swt::bench::print_repro_note("compute-kernel throughput (kernel layer self-study)");
   gemm_single_thread_study(smoke);
   conv_study(smoke);
   search_shape_study(smoke);
+  dense_backward_study(smoke);
   search_optimizer_study(smoke);
+  tanh_study(smoke);
   std::cout << (g_all_match
                     ? "\nPASS: every kernel result is bit-identical to its reference.\n"
                     : "\nFAIL: kernels diverged from the naive reference.\n");

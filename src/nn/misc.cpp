@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "tensor/kernels.hpp"
+
 namespace swt {
 
 const char* to_string(ActKind a) noexcept {
@@ -27,7 +29,7 @@ Tensor Activation::forward(const Tensor& x, bool /*train*/) {
       cached_ = x;  // derivative needs the input sign
       break;
     case ActKind::kTanh:
-      for (std::int64_t i = 0; i < n; ++i) py[i] = std::tanh(px[i]);
+      kernels::tanh(px, py, n);
       cached_ = y;  // derivative 1 - y^2
       break;
     case ActKind::kSigmoid:

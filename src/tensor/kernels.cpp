@@ -1,7 +1,9 @@
 #include "tensor/kernels.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -307,6 +309,39 @@ void pack_a(const GemmSpec& s, float* dst, int64_t i0, int64_t mlen, int64_t k0,
   }
 }
 
+#ifdef SWT_VEC_EXT
+/// dst[c * ldd + r] = src[r * lds + c] for an 8 x 8 block: eight row loads,
+/// three rounds of two-source shuffles (interleave row pairs, then pairs of
+/// pairs, then 128-bit halves), eight row stores.
+inline void transpose8x8(const float* src, int64_t lds, float* dst, int64_t ldd) {
+  typedef std::int32_t vi8 __attribute__((vector_size(32)));
+  vf8 r[8];
+  for (int i = 0; i < 8; ++i) r[i] = load_v<vf8>(src + i * lds);
+  // t[2p] holds rows 2p and 2p+1 interleaved at columns 0,1,4,5; t[2p+1]
+  // at 2,3,6,7.
+  vf8 t[8];
+  for (int p = 0; p < 4; ++p) {
+    t[2 * p] = __builtin_shuffle(r[2 * p], r[2 * p + 1], vi8{0, 8, 1, 9, 4, 12, 5, 13});
+    t[2 * p + 1] = __builtin_shuffle(r[2 * p], r[2 * p + 1], vi8{2, 10, 3, 11, 6, 14, 7, 15});
+  }
+  // q[c] (c < 4) holds column c of rows 0-3, then column c + 4 of rows 0-3;
+  // q[c + 4] the same of rows 4-7.
+  vf8 q[8];
+  for (int h = 0; h < 2; ++h)
+    for (int p = 0; p < 2; ++p) {
+      q[4 * h + 2 * p] = __builtin_shuffle(t[4 * h + p], t[4 * h + p + 2],
+                                           vi8{0, 1, 8, 9, 4, 5, 12, 13});
+      q[4 * h + 2 * p + 1] = __builtin_shuffle(t[4 * h + p], t[4 * h + p + 2],
+                                               vi8{2, 3, 10, 11, 6, 7, 14, 15});
+    }
+  for (int c = 0; c < 4; ++c) {
+    store_v<vf8>(dst + c * ldd, __builtin_shuffle(q[c], q[c + 4], vi8{0, 1, 2, 3, 8, 9, 10, 11}));
+    store_v<vf8>(dst + (c + 4) * ldd,
+                 __builtin_shuffle(q[c], q[c + 4], vi8{4, 5, 6, 7, 12, 13, 14, 15}));
+  }
+}
+#endif
+
 /// Pack op(B)[k0 : k0+klen, j0 : j0+nlen] row-major into dst (stride nlen).
 void pack_b(const GemmSpec& s, float* dst, int64_t k0, int64_t klen, int64_t j0,
             int64_t nlen) {
@@ -315,14 +350,24 @@ void pack_b(const GemmSpec& s, float* dst, int64_t k0, int64_t klen, int64_t j0,
       const float* src = s.b + (k0 + kk) * s.ldb + j0;
       std::copy(src, src + nlen, dst + kk * nlen);
     }
-  } else {
-    // B stored (n, k): read rows of B (contiguous), scatter into columns —
-    // this is what turns nt's per-k strided gather into packed vector loads.
-    for (int64_t j = 0; j < nlen; ++j) {
-      const float* src = s.b + (j0 + j) * s.ldb + k0;
-      for (int64_t kk = 0; kk < klen; ++kk) dst[kk * nlen + j] = src[kk];
-    }
+    return;
   }
+  // B stored (n, k): the panel is the transpose of B's rows j0.., taken in
+  // 8 x 8 register blocks; the last k % 8 and n % 8 go one float at a time.
+  // This turns nt's per-k strided gather into packed vector loads.
+  const float* src = s.b + j0 * s.ldb + k0;
+  int64_t j = 0;
+#ifdef SWT_VEC_EXT
+  for (; j + 8 <= nlen; j += 8) {
+    int64_t kk = 0;
+    for (; kk + 8 <= klen; kk += 8)
+      transpose8x8(src + j * s.ldb + kk, s.ldb, dst + kk * nlen + j, nlen);
+    for (; kk < klen; ++kk)
+      for (int64_t r = j; r < j + 8; ++r) dst[kk * nlen + r] = src[r * s.ldb + kk];
+  }
+#endif
+  for (; j < nlen; ++j)
+    for (int64_t kk = 0; kk < klen; ++kk) dst[kk * nlen + j] = src[j * s.ldb + kk];
 }
 
 /// Walks C one NC-wide column panel at a time; within a panel, k one KC
@@ -624,6 +669,131 @@ void adam_update(float* w, const float* g, float* m, float* v, int64_t n,
 }
 
 // ---------------------------------------------------------------------------
+// tanh
+// ---------------------------------------------------------------------------
+// fdlibm's s_tanhf.c, and the part of its s_expm1f.c that tanh reaches: the
+// algorithm glibc's tanhf runs (glibc 2.36 on x86-64), so naive::tanh
+// equals std::tanh(float) there on all 2^32 inputs (EXPERIMENTS.md).  The
+// lane version evaluates that sequence of IEEE float operations for one
+// element per lane, both expm1f arguments and every branch they reach
+// included, and selects each lane's result; a select only picks a value, so
+// the lanes are bit-identical to the scalar branches.
+
+namespace {
+
+/// fdlibm's constants (s_expm1f.c's ln2_hi, ln2_lo, invln2, Q1-Q5).
+constexpr float kLn2Hi = 6.9313812256e-01f;   // 0x3f317180
+constexpr float kLn2Lo = 9.0580006145e-06f;   // 0x3717f7d1
+constexpr float kInvLn2 = 1.4426950216e+00f;  // 0x3fb8aa3b
+constexpr float kQ1 = -3.3333335072e-02f;     // 0xbd088889
+constexpr float kQ2 = 1.5873016091e-03f;      // 0x3ad00d01
+constexpr float kQ3 = -7.9365076090e-05f;     // 0xb8a670cd
+constexpr float kQ4 = 4.0082177293e-06f;      // 0x36867e54
+constexpr float kQ5 = -2.0109921195e-07f;     // 0xb457edbb
+constexpr float kTiny = 1.0e-30f;
+
+}  // namespace
+
+#ifdef SWT_VEC_EXT
+namespace {
+
+// The widest float vector the target has registers for: a 16-lane vector
+// lowered to SSE2 ran slower than the scalar libm call.
+#if defined(__AVX512F__)
+constexpr int kTanhLanes = 16;
+#elif defined(__AVX__)
+constexpr int kTanhLanes = 8;
+#else
+constexpr int kTanhLanes = 4;
+#endif
+typedef float tanh_vf __attribute__((vector_size(4 * kTanhLanes)));
+typedef std::int32_t tanh_vi __attribute__((vector_size(4 * kTanhLanes)));
+typedef std::uint32_t tanh_vu __attribute__((vector_size(4 * kTanhLanes)));
+
+inline tanh_vf splat(float v) { return v - tanh_vf{}; }  // v - (+0) keeps -0.0f
+inline tanh_vi bits_of(tanh_vf v) { return std::bit_cast<tanh_vi>(v); }
+inline tanh_vf float_of(tanh_vi v) { return std::bit_cast<tanh_vf>(v); }
+
+/// s_expm1f.c for x = 2|t| (|t| in [1, 22)), x = -2|t| (|t| in [2^-55, 1))
+/// or x = 0.  Those never take its overflow, -inf or x < -27 ln2 exits,
+/// nor k = 1, which needs 0.5 ln2 < x < 1.5 ln2.
+inline tanh_vf expm1f_lanes(tanh_vf x) {
+  const tanh_vi hx = bits_of(x) & 0x7fffffff;
+  const tanh_vi xsb = bits_of(x) < 0;
+  // Argument reduction x = k ln2 + (hi - lo): k = 0 up to 0.5 ln2, -1 (or
+  // +1) up to 1.5 ln2, else x / ln2 rounded half away from zero.  With k
+  // as a float, hi and lo below are fdlibm's in all three cases: k = 0
+  // gives hi = x, lo = 0 and c = 0; k = -1 gives x + ln2_hi and -ln2_lo.
+  tanh_vi k = __builtin_convertvector(kInvLn2 * x + (xsb ? splat(-0.5f) : splat(0.5f)), tanh_vi);
+  k = hx < 0x3F851592 ? (xsb | 1) : k;
+  k = hx > 0x3eb17218 ? k : tanh_vi{};
+  const tanh_vf t = __builtin_convertvector(k, tanh_vf);
+  const tanh_vf hi = x - t * kLn2Hi;
+  const tanh_vf lo = t * kLn2Lo;
+  const tanh_vf r = hi - lo;
+  const tanh_vf c = (hi - r) - lo;
+  // r is now in the primary range.
+  const tanh_vf hfx = 0.5f * r;
+  const tanh_vf hxs = r * hfx;
+  const tanh_vf r1 = 1.0f + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  const tanh_vf s = 3.0f - r1 * hfx;
+  const tanh_vf e0 = hxs * ((r1 - s) / (6.0f - r * s));
+  const tanh_vf e = (r * (e0 - c) - c) - hxs;
+  // 2^-k as a float; 1 - 2^-k is exact, fdlibm's 0x3f800000 - (0x1000000 >> k).
+  const tanh_vf p = float_of((0x7f - k) << 23);
+  const tanh_vi far = (k <= -2) | (k > 56);
+  tanh_vf y = far ? 1.0f - (e - r) : k < 23 ? (1.0f - p) - (e - r) : (r - (e + p)) + 1.0f;
+  // Add k to y's exponent.
+  y = std::bit_cast<tanh_vf>(std::bit_cast<tanh_vu>(y) + (std::bit_cast<tanh_vu>(k) << 23));
+  y = far ? y - 1.0f : y;
+  y = k == -1 ? 0.5f * (r - e) - 0.5f : y;
+  y = k == 0 ? r - (r * e0 - hxs) : y;
+  // |x| < 2^-25: fdlibm returns x - (t - (huge + x)) with t = huge + x.
+  return hx < 0x33000000 ? x : y;
+}
+
+/// s_tanhf.c.  Its four divisions share one: nonfinite lanes divide 1 by
+/// x, |x| >= 1 divides 2 and |x| < 1 divides -t by t + 2.
+inline tanh_vf tanh_lanes(tanh_vf x) {
+  const tanh_vi jx = bits_of(x);
+  const tanh_vi ix = jx & 0x7fffffff;
+  const tanh_vi neg = jx < 0;
+  const tanh_vi big = ix >= 0x3f800000;  // |x| >= 1
+  const tanh_vi nonfinite = ix >= 0x7f800000;
+  // 2^-55 <= |x| < 22 call expm1f; the other lanes pass it 0.
+  const tanh_vi calls = (ix >= 0x24000000) & (ix < 0x41b00000);
+  const tanh_vf ax = float_of(ix);
+  const tanh_vf t = expm1f_lanes(calls ? (big ? 2.0f * ax : -2.0f * ax) : tanh_vf{});
+  const tanh_vf q = (nonfinite ? splat(1.0f) : big ? splat(2.0f) : -t) / (nonfinite ? x : t + 2.0f);
+  tanh_vf z = big ? 1.0f - q : q;
+  z = ix < 0x41b00000 ? z : splat(1.0f - kTiny);
+  z = neg ? -z : z;
+  // |x| < 2^-55 returns x * (1 + x), which is x itself at +-0 too.
+  z = ix < 0x24000000 ? x * (1.0f + x) : z;
+  // tanh(+-inf) = +-1 and tanh(NaN) = NaN: 1/x + 1, or 1/x - 1 when the
+  // sign bit is set.
+  return nonfinite ? q + (neg ? splat(-1.0f) : splat(1.0f)) : z;
+}
+
+}  // namespace
+
+void tanh(const float* x, float* y, int64_t n) {
+  constexpr int64_t L = kTanhLanes;
+  int64_t i = 0;
+  for (; i + L <= n; i += L) store_v<tanh_vf>(y + i, tanh_lanes(load_v<tanh_vf>(x + i)));
+  if (i == n) return;
+  // The last n % L elements run through one zero-filled vector.
+  float tail[L] = {};
+  const auto bytes = static_cast<std::size_t>(n - i) * sizeof(float);
+  std::memcpy(tail, x + i, bytes);
+  store_v<tanh_vf>(tail, tanh_lanes(load_v<tanh_vf>(tail)));
+  std::memcpy(y + i, tail, bytes);
+}
+#else
+void tanh(const float* x, float* y, int64_t n) { naive::tanh(x, y, n); }
+#endif
+
+// ---------------------------------------------------------------------------
 // Reference kernels
 // ---------------------------------------------------------------------------
 
@@ -755,6 +925,107 @@ void adam_update(float* w, const float* g, float* m, float* v, int64_t n,
     w[i] -= static_cast<float>(step.alpha * m[i] /
                                (std::sqrt(static_cast<double>(v[i])) + step.epsilon));
   }
+}
+
+namespace {
+
+/// s_expm1f.c without its filter for |x| >= 27 ln2, which returns nothing
+/// for the arguments tanh passes (x in [2, 44) or (-2, -2^-54]).
+inline float fdlibm_expm1f(float x) {
+  const auto hx = std::bit_cast<std::uint32_t>(x) & 0x7fffffffu;
+  const bool xsb = std::signbit(x);
+  float hi, lo, c = 0.0f;
+  std::int32_t k;
+  if (hx > 0x3eb17218) {    // |x| > 0.5 ln2
+    if (hx < 0x3F851592) {  // and |x| < 1.5 ln2
+      if (!xsb) {
+        hi = x - kLn2Hi;
+        lo = kLn2Lo;
+        k = 1;
+      } else {
+        hi = x + kLn2Hi;
+        lo = -kLn2Lo;
+        k = -1;
+      }
+    } else {
+      k = static_cast<std::int32_t>(kInvLn2 * x + (!xsb ? 0.5f : -0.5f));
+      const auto t = static_cast<float>(k);
+      hi = x - t * kLn2Hi;  // t * ln2_hi is exact here
+      lo = t * kLn2Lo;
+    }
+    x = hi - lo;
+    c = (hi - x) - lo;
+  } else if (hx < 0x33000000) {  // |x| < 2^-25
+    return x;  // fdlibm: x - (t - (huge + x)) with t = huge + x
+  } else {
+    k = 0;
+  }
+  // x is now in the primary range.
+  const float hfx = 0.5f * x;
+  const float hxs = x * hfx;
+  const float r1 = 1.0f + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  float t = 3.0f - r1 * hfx;
+  float e = hxs * ((r1 - t) / (6.0f - x * t));
+  if (k == 0) return x - (x * e - hxs);  // c is 0
+  e = (x * (e - c) - c);
+  e -= hxs;
+  if (k == -1) return 0.5f * (x - e) - 0.5f;
+  if (k == 1) {
+    if (x < -0.25f) return -2.0f * (e - (x + 0.5f));
+    return 1.0f + 2.0f * (x - e);
+  }
+  const auto add_to_exponent = [k](float v) {
+    return std::bit_cast<float>(std::bit_cast<std::uint32_t>(v) +
+                                (static_cast<std::uint32_t>(k) << 23));
+  };
+  if (k <= -2 || k > 56) return add_to_exponent(1.0f - (e - x)) - 1.0f;
+  float y;
+  if (k < 23) {
+    t = std::bit_cast<float>(0x3f800000u - (0x1000000u >> k));  // 1 - 2^-k
+    y = add_to_exponent(t - (e - x));
+  } else {
+    t = std::bit_cast<float>(static_cast<std::uint32_t>(0x7f - k) << 23);  // 2^-k
+    y = x - (e + t);
+    y += 1.0f;
+    y = add_to_exponent(y);
+  }
+  return y;
+}
+
+/// s_tanhf.c.
+inline float fdlibm_tanhf(float x) {
+  const auto jx = std::bit_cast<std::int32_t>(x);
+  const std::int32_t ix = jx & 0x7fffffff;
+  if (ix >= 0x7f800000) {  // x is inf or NaN
+    if (jx >= 0) return 1.0f / x + 1.0f;  // tanh(+-inf) = +-1
+    return 1.0f / x - 1.0f;               // tanh(NaN) = NaN
+  }
+  float z;
+  if (ix < 0x41b00000) {  // |x| < 22
+    if (ix == 0) return x;  // x == +-0
+    if (ix < 0x24000000) return x * (1.0f + x);  // |x| < 2^-55
+    if (ix >= 0x3f800000) {  // |x| >= 1
+      const float t = fdlibm_expm1f(2.0f * std::fabs(x));
+      z = 1.0f - 2.0f / (t + 2.0f);
+    } else {
+      const float t = fdlibm_expm1f(-2.0f * std::fabs(x));
+      z = -t / (t + 2.0f);
+    }
+  } else {  // |x| >= 22, return +-1
+    z = 1.0f - kTiny;
+  }
+  return jx >= 0 ? z : -z;
+}
+
+}  // namespace
+
+// Scalar like adam_update above: bench_gemm's naive column times the
+// branching loop.
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("no-tree-vectorize")))
+#endif
+void tanh(const float* x, float* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = fdlibm_tanhf(x[i]);
 }
 
 }  // namespace naive

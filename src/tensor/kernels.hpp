@@ -157,6 +157,17 @@ void adam_update(float* w, const float* g, float* m, float* v, std::int64_t n,
                  const AdamStep& step);
 
 // ---------------------------------------------------------------------------
+// Activation — elementwise tanh
+// ---------------------------------------------------------------------------
+
+/// y[i] = tanh(x[i]) for n elements, by fdlibm's s_tanhf.c and s_expm1f.c
+/// (the algorithm glibc's tanhf runs), with one element per vector lane:
+/// each lane computes every branch tanh's arguments reach and selects its
+/// own result, so the output is bit-identical to naive::tanh at any lane
+/// width.  `x` and `y` may be the same array.
+void tanh(const float* x, float* y, std::int64_t n);
+
+// ---------------------------------------------------------------------------
 // Reference kernels — the seed repo's loops, retained verbatim (minus the
 // data-dependent zero-skip) as the differential-test oracle.  Serial.
 // ---------------------------------------------------------------------------
@@ -179,6 +190,9 @@ void conv_backward(const float* x, const float* w, const float* dy, float* dx,
 /// The scalar Adam loop: one square root and one division per element.
 void adam_update(float* w, const float* g, float* m, float* v, std::int64_t n,
                  const AdamStep& step);
+
+/// fdlibm's tanhf transcribed line by line, one branch per element.
+void tanh(const float* x, float* y, std::int64_t n);
 
 }  // namespace naive
 

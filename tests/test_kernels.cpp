@@ -4,7 +4,9 @@
 // whole search stack rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -79,6 +81,12 @@ std::vector<GemmShape> sweep_shapes() {
   // (3x3x3): tiny m x n, reductions over every patch of the batch.
   shapes.push_back({7, 8, 3072});
   shapes.push_back({27, 8, 1024});
+  // Dense backward dx = dy * W^T (nt) of NT3, Uno and the CIFAR head, whose
+  // B panels pack through 8 x 8 register transposes; then ragged n and k,
+  // so both 8 x 8 tails run and B's row stride is no multiple of 8.
+  for (const GemmShape s : {GemmShape{8, 3072, 128}, GemmShape{8, 208, 64},
+                            GemmShape{16, 576, 10}, GemmShape{8, 61, 37}, GemmShape{5, 29, 13}})
+    shapes.push_back(s);
   return shapes;
 }
 
@@ -380,6 +388,88 @@ TEST(Kernels, AdamUpdateMatchesNaive) {
       expect_equal(v, v_ref, "adam v");
     }
   }
+}
+
+// -----------------------------------------------------------------------
+// tanh: the lane kernel against the scalar fdlibm transcription, over a
+// strided sweep of all 2^32 bit patterns and every branch edge of
+// s_tanhf.c and s_expm1f.c, at lengths that leave every tail size.
+// -----------------------------------------------------------------------
+
+float from_bits(std::uint32_t b) {
+  float f = 0.0f;
+  std::memcpy(&f, &b, sizeof f);
+  return f;
+}
+
+std::uint32_t bits_of(float f) {
+  std::uint32_t b = 0;
+  std::memcpy(&b, &f, sizeof b);
+  return b;
+}
+
+std::vector<float> tanh_inputs() {
+  std::vector<float> xs;
+  for (std::uint64_t b = 0; b <= 0xffffffffu; b += 4099)
+    xs.push_back(from_bits(static_cast<std::uint32_t>(b)));
+  // Bit patterns of |x| at both sides of a threshold, with either sign.
+  const auto around = [&](std::uint32_t at, std::uint32_t radius) {
+    for (std::uint32_t b = at - radius; b <= at + radius; ++b) {
+      xs.push_back(from_bits(b));
+      xs.push_back(from_bits(b | 0x80000000u));
+    }
+  };
+  around(0x00000001, 1);  // +-0 and the smallest subnormals
+  around(0x007fffff, 1);  // largest subnormal, smallest normal
+  // s_tanhf.c: |x| < 2^-55, |x| >= 1, |x| < 22.
+  around(0x24000000, 1);
+  around(0x3f800000, 1);
+  around(0x41b00000, 1);
+  // s_expm1f.c's argument is 2|x|, whose bits are |x|'s plus one exponent
+  // step: |arg| < 2^-25, <= 0.5 ln2, < 1.5 ln2 and >= 27 ln2.
+  for (const std::uint32_t at : {0x33000000u, 0x3eb17218u, 0x3F851592u, 0x4195b844u})
+    around(at - 0x00800000u, 1);
+  // k = round(arg / ln2) steps from -2 to -3, 22 to 23 and 56 to 57 within
+  // a few ulps of these |x|.
+  for (const double k_half : {2.5, 22.5, 56.5})
+    around(bits_of(static_cast<float>(k_half * std::log(2.0) / 2.0)), 64);
+  around(0x7f7fffff, 1);  // largest finite and +-inf
+  for (const std::uint32_t nan : {0x7fc00000u, 0x7fc00001u, 0x7fffffffu, 0x7fa5a5a5u,
+                                  0x7f800001u, 0x7fbfffffu})
+    around(nan, 0);
+  return xs;
+}
+
+TEST(Kernels, TanhMatchesNaive) {
+  const std::vector<float> xs = tanh_inputs();
+  const auto total = static_cast<std::int64_t>(xs.size());
+  std::vector<float> want(xs.size());
+  k::naive::tanh(xs.data(), want.data(), total);
+  // Each call must leave the poisoned floats after its n outputs alone.
+  constexpr std::int64_t kSlack = 16;
+  const float poison = from_bits(0x7fbadbad);
+  const auto expect_untouched = [&](const std::vector<float>& out, std::int64_t from) {
+    for (std::int64_t i = from; i < from + kSlack; ++i)
+      ASSERT_EQ(0x7fbadbadu, bits_of(out[static_cast<std::size_t>(i)])) << "wrote index " << i;
+  };
+  std::vector<float> none(kSlack, poison);
+  k::tanh(xs.data(), none.data(), 0);
+  expect_untouched(none, 0);
+  for (const std::int64_t len : {1, 15, 16, 17, 4099}) {
+    SCOPED_TRACE("length " + std::to_string(len));
+    std::vector<float> got(xs.size() + kSlack, poison);
+    for (std::int64_t at = 0; at < total; at += len) {
+      const std::int64_t n = std::min(len, total - at);
+      k::tanh(xs.data() + at, got.data() + at, n);
+      expect_untouched(got, at + n);
+    }
+    got.resize(xs.size());
+    expect_equal(got, want, "tanh");
+  }
+  // In place, as the header allows.
+  std::vector<float> inplace = xs;
+  k::tanh(inplace.data(), inplace.data(), total);
+  expect_equal(inplace, want, "tanh in place");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "nn/dense.hpp"
 #include "nn/misc.hpp"
 #include "nn/pool.hpp"
+#include "tensor/kernels.hpp"
 
 namespace swt {
 namespace {
@@ -334,6 +335,24 @@ TEST(Activation, ReluBackwardMatchesBranchingLoop) {
   std::vector<float> want(xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) want[i] = xs[i] > 0.0f ? ds[i] : 0.0f;
   EXPECT_TRUE(same_bytes(dx, want));
+}
+
+// The tanh forward runs the lane kernel: its output must be the bytes the
+// scalar fdlibm loop gives, specials included.
+TEST(Activation, TanhForwardMatchesNaiveLoop) {
+  // Beside the specials, one value per expm1f branch: k = 0, -1, <= -2,
+  // 2-22, 23-56 and > 56 (k = round(2|x| / ln2)).
+  std::vector<float> xs = {kNan, -kNan, 0.0f, -0.0f, kInf, -kInf, 1e-40f, -1e-20f,
+                           0.1f, -0.5f, 0.9f, -1.0f, 3.0f, -8.5f, 12.0f, -19.9f,
+                           22.0f, -30.0f};
+  Rng fill(5);
+  while (xs.size() < 1003) xs.push_back(static_cast<float>(fill.uniform(-6.0, 6.0)));
+  const Shape shape{static_cast<std::int64_t>(xs.size())};
+  Activation act(ActKind::kTanh);
+  const Tensor y = act.forward(Tensor(shape, xs), false);
+  std::vector<float> want(xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) kernels::naive::tanh(&xs[i], &want[i], 1);
+  EXPECT_TRUE(same_bytes(y, want));
 }
 
 TEST(Dropout, ForwardMatchesBranchingLoop) {
