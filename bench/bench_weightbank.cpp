@@ -10,6 +10,11 @@
 // moved — on the *same seeded search* run through both layouts, plus a
 // synthetic shared-layer sweep isolating the dedup mechanism.
 //
+// A third table times disk-backed puts at NT3's tensor sizes (one 3072x128
+// Dense kernel plus small bias and BN vectors, all first-seen, as in a
+// banked NT3 search) and counts the files each put creates.  It writes
+// under the working directory, so run it where the searches write.
+//
 // Determinism gates (exit non-zero on violation, like bench_wavefront):
 //   - the flat arm's trace must be byte-identical across eval-parallelism
 //     levels (the pre-bank contract, still in force with the bank linked);
@@ -18,6 +23,9 @@
 //     timeline cannot depend on thread interleaving).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -100,6 +108,68 @@ void dedup_sweep() {
                "way); unique bytes — what actually crosses the PFS — fall as the\n"
                "shared fraction rises, so the dedup ratio climbs toward\n"
                "members x shared/8.\n";
+}
+
+/// An NT3-sized checkpoint: Conv1D kernel and bias, BN scale and shift, the
+/// widest Dense kernel (3072x128) and bias, and the output layer.  Every
+/// tensor's content is distinct, within a member and across members.
+Checkpoint nt3_sized_ckpt(int member) {
+  Checkpoint ckpt;
+  ckpt.arch = {member};
+  ckpt.score = 0.5;
+  const std::vector<std::pair<std::string, std::vector<std::int64_t>>> layers = {
+      {"conv0/W", {8, 1, 7}}, {"conv0/b", {8}},      {"bn0/gamma", {8}},
+      {"bn0/beta", {8}},      {"dense0/W", {3072, 128}}, {"dense0/b", {128}},
+      {"out/W", {128, 2}},    {"out/b", {2}}};
+  float layer = 0.0f;
+  for (const auto& [name, dims] : layers) {
+    std::int64_t n = 1;
+    for (std::int64_t d : dims) n *= d;
+    std::vector<float> v(static_cast<std::size_t>(n));
+    layer += 100.0f;
+    for (std::size_t i = 0; i < v.size(); ++i)
+      v[i] = 1000.0f * static_cast<float>(member) + layer + 0.001f * static_cast<float>(i);
+    ckpt.tensors.push_back({name, Tensor(Shape(dims), std::move(v))});
+  }
+  return ckpt;
+}
+
+/// Regular files anywhere under `dir`.
+std::size_t count_files(const std::filesystem::path& dir) {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(dir))
+    if (entry.is_regular_file()) ++n;
+  return n;
+}
+
+void disk_put_study() {
+  namespace fs = std::filesystem;
+  const long puts = std::max(8L, bench_evals());
+  const fs::path dir = fs::current_path() / "bench_weightbank_puts";
+  fs::remove_all(dir);
+  std::vector<double> us;
+  {
+    WeightBank bank(WeightBank::Backend::kDisk, dir);
+    for (long i = 0; i < puts; ++i) {
+      const Checkpoint ckpt = nt3_sized_ckpt(static_cast<int>(i));
+      const auto t0 = std::chrono::steady_clock::now();
+      bank.put("eval-" + std::to_string(i), ckpt);
+      us.push_back(std::chrono::duration<double, std::micro>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count());
+    }
+  }
+  const double files_per_put =
+      static_cast<double>(count_files(dir)) / static_cast<double>(puts);
+  fs::remove_all(dir);
+  std::sort(us.begin(), us.end());
+  print_banner(std::cout, "disk put at NT3 tensor sizes (8 tensors, 1.5 MiB, all first-seen), " +
+                              std::to_string(puts) + " puts under the working directory");
+  TableReport table({"backend", "us/put p50", "us/put p90", "files created/put"});
+  table.add_row({"disk", TableReport::cell(us[us.size() / 2], 0),
+                 TableReport::cell(us[us.size() * 9 / 10], 0),
+                 TableReport::cell(files_per_put, 2)});
+  table.print(std::cout);
 }
 
 struct SearchArm {
@@ -200,5 +270,6 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   dedup_sweep();
+  disk_put_study();
   return banked_vs_flat_study() ? 0 : 1;
 }

@@ -1,5 +1,6 @@
 #include "ckpt/blob_dir.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 #include "common/fsio.hpp"
@@ -43,6 +44,21 @@ std::optional<std::vector<std::byte>> BlobDir::get(const std::string& name) cons
   if (!sizes_.contains(name)) return std::nullopt;
   if (dir_.empty()) return memory_.at(name);
   return fsio::read_file(path_of(name));
+}
+
+std::optional<std::vector<std::byte>> BlobDir::get(const std::string& name,
+                                                   std::size_t offset,
+                                                   std::size_t length) const {
+  const auto it = sizes_.find(name);
+  if (it == sizes_.end()) return std::nullopt;
+  if (offset > it->second || length > it->second - offset)
+    throw std::runtime_error("blob dir: range past the end of " + name + ext_);
+  if (dir_.empty()) {
+    const std::vector<std::byte>& bytes = memory_.at(name);
+    const auto first = bytes.begin() + static_cast<std::ptrdiff_t>(offset);
+    return std::vector<std::byte>(first, first + static_cast<std::ptrdiff_t>(length));
+  }
+  return fsio::read_file_range(path_of(name), offset, length);
 }
 
 bool BlobDir::remove(const std::string& name) {

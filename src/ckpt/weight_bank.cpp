@@ -1,10 +1,13 @@
 #include "ckpt/weight_bank.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "ckpt/wire.hpp"
@@ -15,10 +18,29 @@ namespace swt {
 
 namespace {
 
-// Frame magics: "SWTK" (chunK) and "SWTM" (Manifest), little-endian u32.
+// Frame magics: "SWTK" (chunK), "SWTM" (Manifest) and "SWTP" (Pack index),
+// little-endian u32.  Version 2 keeps chunks in packs instead of one file
+// each; frames and manifests are laid out as in version 1.
 constexpr std::uint32_t kChunkMagic = 0x4B545753;
 constexpr std::uint32_t kManifestMagic = 0x4D545753;
-constexpr std::uint8_t kBankVersion = 1;
+constexpr std::uint32_t kPackMagic = 0x50545753;
+constexpr std::uint8_t kBankVersion = 2;
+
+// A pack starts with its index: magic, version and entry count, then per
+// entry the chunk id (hi, lo), frame offset and frame length as u64s, then a
+// CRC-32 of all of that.  The frames follow the index.
+constexpr std::size_t kPackHeadBytes = sizeof(std::uint32_t) + 1 + sizeof(std::uint64_t);
+constexpr std::size_t kPackEntryBytes = 4 * sizeof(std::uint64_t);
+
+[[nodiscard]] constexpr std::size_t pack_index_bytes(std::size_t entries) noexcept {
+  return kPackHeadBytes + entries * kPackEntryBytes + sizeof(std::uint32_t);
+}
+
+struct PackEntry {
+  ChunkId id;
+  std::uint64_t offset = 0;
+  std::uint64_t length = 0;
+};
 
 /// One splitmix64-style avalanche step (Steele et al.); both hash lanes use
 /// it with distinct odd multipliers so a collision in one lane is
@@ -42,19 +64,35 @@ struct HashLane {
   }
 };
 
-/// CRC-framed chunk payload: the encoded tensor values plus enough metadata
-/// (codec kind, value count) to decode them without the manifest.
-[[nodiscard]] std::vector<std::byte> encode_chunk_frame(std::span<const float> values,
-                                                        CompressionKind kind) {
-  wire::Writer w;
+/// Append one CRC-framed chunk to `w`: the encoded tensor values plus enough
+/// metadata (codec kind, value count) to decode them without the manifest.
+/// Returns the frame's length.
+std::size_t append_chunk_frame(wire::Writer& w, std::span<const float> values,
+                               CompressionKind kind) {
+  const std::size_t start = w.size();
   w.u32(kChunkMagic);
   w.u8(kBankVersion);
   w.u8(static_cast<std::uint8_t>(kind));
   w.u64(values.size());
   w.blob(encode_values(values, kind));
-  const std::uint32_t crc = crc32(w.bytes().data(), w.size());
+  const std::uint32_t crc = crc32(w.bytes().data() + start, w.size() - start);
   w.u32(crc);
-  return std::move(w.bytes());
+  return w.size() - start;
+}
+
+/// The length of the body that `bytes`' CRC-32 trailer covers; throws
+/// std::runtime_error naming `what` when the trailer is missing or does
+/// not match.
+[[nodiscard]] std::size_t crc_checked_body(const std::vector<std::byte>& bytes,
+                                           const char* what) {
+  if (bytes.size() < sizeof(std::uint32_t))
+    throw std::runtime_error(std::string("weight bank: ") + what + " truncated");
+  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
+  std::uint32_t stored_crc = 0;
+  std::memcpy(&stored_crc, bytes.data() + body, sizeof stored_crc);
+  if (crc32(bytes.data(), body) != stored_crc)
+    throw std::runtime_error(std::string("weight bank: ") + what + " CRC mismatch");
+  return body;
 }
 
 /// Decode a chunk frame into float values; throws std::runtime_error on any
@@ -62,14 +100,7 @@ struct HashLane {
 /// `expected_count` (a chunk swapped under a manifest's nose).
 [[nodiscard]] std::vector<float> decode_chunk_frame(const std::vector<std::byte>& frame,
                                                     std::size_t expected_count) {
-  if (frame.size() < sizeof(std::uint32_t))
-    throw std::runtime_error("weight bank: chunk frame truncated");
-  const std::size_t body = frame.size() - sizeof(std::uint32_t);
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, frame.data() + body, sizeof stored_crc);
-  if (crc32(frame.data(), body) != stored_crc)
-    throw std::runtime_error("weight bank: chunk CRC mismatch");
-  wire::Reader r(frame.data(), body);
+  wire::Reader r(frame.data(), crc_checked_body(frame, "chunk"));
   if (r.u32() != kChunkMagic) throw std::runtime_error("weight bank: bad chunk magic");
   if (r.u8() != kBankVersion) throw std::runtime_error("weight bank: chunk version mismatch");
   const auto kind = static_cast<CompressionKind>(r.u8());
@@ -80,12 +111,91 @@ struct HashLane {
   return decode_values(payload, count, kind);
 }
 
+/// Write the index of `entries` over the pack_index_bytes() placeholder at
+/// the front of `pack`.
+void write_pack_index(std::vector<std::byte>& pack, const std::vector<PackEntry>& entries) {
+  wire::Writer w;
+  w.u32(kPackMagic);
+  w.u8(kBankVersion);
+  w.u64(entries.size());
+  for (const PackEntry& e : entries) {
+    w.u64(e.id.hi);
+    w.u64(e.id.lo);
+    w.u64(e.offset);
+    w.u64(e.length);
+  }
+  const std::uint32_t crc = crc32(w.bytes().data(), w.size());
+  w.u32(crc);
+  std::memcpy(pack.data(), w.bytes().data(), w.size());
+}
+
+/// Decode a pack index read from the front of a `pack_size`-byte pack;
+/// throws std::runtime_error on any structural or CRC mismatch and on an
+/// entry whose frame does not lie inside the pack, behind the index.
+[[nodiscard]] std::vector<PackEntry> decode_pack_index(const std::vector<std::byte>& bytes,
+                                                       std::size_t pack_size) {
+  wire::Reader r(bytes.data(), crc_checked_body(bytes, "pack index"));
+  if (r.u32() != kPackMagic) throw std::runtime_error("weight bank: bad pack magic");
+  if (r.u8() != kBankVersion) throw std::runtime_error("weight bank: pack version mismatch");
+  const std::uint64_t n = r.count(kPackEntryBytes);
+  std::vector<PackEntry> entries(n);
+  for (PackEntry& e : entries) {
+    e.id.hi = r.u64();
+    e.id.lo = r.u64();
+    e.offset = r.u64();
+    e.length = r.u64();
+    if (e.offset < bytes.size() || e.offset > pack_size || e.length > pack_size - e.offset)
+      throw std::runtime_error("weight bank: pack entry outside the pack");
+  }
+  return entries;
+}
+
+/// Read and decode the index of pack `name` (`size` bytes): the fixed head
+/// first, then exactly the index it announces, never more than the file.
+[[nodiscard]] std::vector<PackEntry> read_pack_index(const BlobDir& packs,
+                                                     const std::string& name,
+                                                     std::size_t size) {
+  if (size < pack_index_bytes(0)) throw std::runtime_error("weight bank: pack truncated");
+  const std::vector<std::byte> head = packs.get(name, 0, kPackHeadBytes).value();
+  wire::Reader r(head.data(), head.size());
+  r.u32();  // magic and version are checked under the CRC below
+  r.u8();
+  const std::uint64_t n = r.u64();
+  if (n > (size - pack_index_bytes(0)) / kPackEntryBytes)
+    throw std::runtime_error("weight bank: pack entry count exceeds the pack");
+  return decode_pack_index(packs.get(name, 0, pack_index_bytes(n)).value(), size);
+}
+
+/// A pack's blob name: its sequence number as 16 lowercase hex digits, so
+/// name order is sequence order.
+[[nodiscard]] std::string pack_name(std::uint64_t seq) {
+  std::array<char, 17> buf{};
+  std::snprintf(buf.data(), buf.size(), "%016llx", static_cast<unsigned long long>(seq));
+  return std::string(buf.data(), 16);
+}
+
+/// The sequence number of a pack name; empty for names the bank never writes.
+[[nodiscard]] std::optional<std::uint64_t> parse_pack_name(const std::string& name) {
+  if (name.size() != 16 ||
+      !std::all_of(name.begin(), name.end(), [](char c) {
+        return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
+      }))
+    return std::nullopt;
+  return std::strtoull(name.c_str(), nullptr, 16);
+}
+
 /// Where one of the bank's two blob planes lives: in memory, or `dir`/`plane`.
 [[nodiscard]] std::filesystem::path plane_dir(WeightBank::Backend backend,
                                               const std::filesystem::path& dir,
                                               const char* plane) {
   if (backend == WeightBank::Backend::kMemory) return {};
   if (dir.empty()) throw std::invalid_argument("WeightBank: disk backend needs a dir");
+  // Version 1 kept one file per chunk under chunks/.  Its manifests would
+  // fail the version check and be deleted one by one, so refuse the whole
+  // directory instead.
+  if (std::filesystem::exists(dir / "chunks"))
+    throw std::runtime_error("weight bank: " + dir.string() +
+                             " holds a version-1 chunks/ layout, which this build does not read");
   return dir / plane;
 }
 
@@ -136,15 +246,15 @@ WeightBank::WeightBank(Backend backend, std::filesystem::path dir,
                        CompressionKind compression, std::size_t byte_budget)
     : compression_(compression),
       byte_budget_(byte_budget),
-      chunk_blobs_(plane_dir(backend, dir, "chunks"), ".chk"),
+      pack_blobs_(plane_dir(backend, dir, "packs"), ".pack"),
       manifest_blobs_(plane_dir(backend, dir, "manifests"), ".swtm") {
   // Reopen (crash recovery).  Order matters: manifests are the roots, so
   // they are adopted first and chunk refcounts rebuilt from them; only then
-  // can a chunk file be classified as live or orphan.  A writer killed
-  // between its chunk writes and its manifest write leaves exactly the
-  // orphan case — the chunks are garbage-collected and the put never
-  // happened, which is the same contract the flat store's tmp+rename gives.
-  // Both loops walk copies of the adopted names because they drop entries.
+  // can a pack's frames be classified as live or dead.  A writer killed
+  // between its pack and manifest writes leaves a pack of dead frames — it
+  // is deleted and the put never happened, which is the same contract the
+  // flat store's tmp+rename gives.  Both loops walk copies of the adopted
+  // names because they drop entries.
   for (const auto& [key, size] : std::map(manifest_blobs_.sizes())) {
     Manifest m;
     try {
@@ -157,27 +267,51 @@ WeightBank::WeightBank(Backend backend, std::filesystem::path dir,
     for (const TensorRef& ref : m.tensors) {
       Chunk& c = chunks_[ref.id];
       ++c.refs;
-      c.resident = false;  // confirmed below if the file exists
+      c.resident = false;  // confirmed below if a pack holds its frame
     }
     manifests_[key] = std::move(m);
   }
-  for (const auto& [name, size] : std::map(chunk_blobs_.sizes())) {
-    ChunkId id{};
-    if (name.size() == 32) {
-      id.hi = std::strtoull(name.substr(0, 16).c_str(), nullptr, 16);
-      id.lo = std::strtoull(name.substr(16).c_str(), nullptr, 16);
-    }
-    auto it = chunks_.find(id);
-    if (it == chunks_.end() || id.hex() != name) {
-      // Orphan: no surviving manifest references this content.
-      chunk_blobs_.remove(name);
+  // Packs in sequence order (16-hex names sort numerically), so a chunk
+  // framed in two packs — possible only if a kill interrupted a rewrite —
+  // resolves to its newest copy.  Packs left holding frames nothing live
+  // needs are rewritten below, which restores disk = resident set.
+  std::set<std::uint64_t> stale;
+  for (const auto& [name, size] : std::map(pack_blobs_.sizes())) {
+    const std::optional<std::uint64_t> seq = parse_pack_name(name);
+    if (!seq.has_value()) {
+      pack_blobs_.remove(name);
       continue;
     }
-    it->second.resident = true;
-    it->second.encoded_bytes = size;
-    it->second.last_used = ++tick_;
-    resident_bytes_ += size;
+    next_pack_ = std::max(next_pack_, *seq + 1);
+    std::vector<PackEntry> index;
+    try {
+      index = read_pack_index(pack_blobs_, name, size);
+    } catch (const std::exception& e) {
+      log_warn("weight bank: dropping pack ", name, " with a corrupt index: ", e.what());
+      pack_blobs_.remove(name);
+      continue;
+    }
+    std::vector<ChunkId>& hosted = packs_[*seq];
+    for (const PackEntry& e : index) {
+      const auto it = chunks_.find(e.id);
+      if (it == chunks_.end()) continue;  // no surviving manifest references it
+      Chunk& c = it->second;
+      if (c.resident) {  // an older copy, or the same id twice in one index
+        std::erase(packs_[c.pack], e.id);
+        stale.insert(c.pack);
+        resident_bytes_ -= c.encoded_bytes;
+      }
+      c.resident = true;
+      c.pack = *seq;
+      c.offset = e.offset;
+      c.encoded_bytes = e.length;
+      c.last_used = ++tick_;
+      resident_bytes_ += e.length;
+      hosted.push_back(e.id);
+    }
+    if (hosted.empty() || hosted.size() != index.size()) stale.insert(*seq);
   }
+  for (std::uint64_t seq : stale) rewrite_pack_locked(seq);
   // Seed the traffic meters so dedup_ratio() stays meaningful across a
   // reopen: every adopted resident chunk was written once, and every
   // manifest reference re-counts its chunk logically.
@@ -211,14 +345,7 @@ std::vector<std::byte> WeightBank::encode_manifest(const Manifest& m) const {
 }
 
 WeightBank::Manifest WeightBank::decode_manifest(const std::vector<std::byte>& bytes) {
-  if (bytes.size() < sizeof(std::uint32_t))
-    throw std::runtime_error("weight bank: manifest truncated");
-  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, bytes.data() + body, sizeof stored_crc);
-  if (crc32(bytes.data(), body) != stored_crc)
-    throw std::runtime_error("weight bank: manifest CRC mismatch");
-  wire::Reader r(bytes.data(), body);
+  wire::Reader r(bytes.data(), crc_checked_body(bytes, "manifest"));
   if (r.u32() != kManifestMagic) throw std::runtime_error("weight bank: bad manifest magic");
   if (r.u8() != kBankVersion)
     throw std::runtime_error("weight bank: manifest version mismatch");
@@ -246,45 +373,79 @@ WeightBank::Manifest WeightBank::decode_manifest(const std::vector<std::byte>& b
 
 BankPutStats WeightBank::put(const std::string& key, const Checkpoint& ckpt) {
   std::scoped_lock lock(mutex_);
-  BankPutStats stats;
   Manifest m;
   m.arch = ckpt.arch;
   m.score = ckpt.score;
   m.tensors.reserve(ckpt.tensors.size());
 
-  // Phase 1: resolve every tensor to a chunk, materialising first-seen (or
-  // previously evicted) content.  Chunk files land on disk *before* the
-  // manifest that roots them — the crash-consistency ordering.
-  for (const NamedTensor& t : ckpt.tensors) {
-    TensorRef ref{t.name, t.value.shape().dims(), chunk_id(t.value)};
-    auto [it, inserted] = chunks_.try_emplace(ref.id);
-    Chunk& c = it->second;
-    if (inserted || !c.resident) {
-      std::vector<std::byte> frame = encode_chunk_frame(t.value.values(), compression_);
-      c.encoded_bytes = frame.size();
-      c.resident = true;
-      resident_bytes_ += c.encoded_bytes;
-      stats.new_chunk_bytes += c.encoded_bytes;
-      unique_written_ += c.encoded_bytes;
-      chunk_blobs_.put(ref.id.hex(), std::move(frame));
-    } else {
-      ++stats.deduped_chunks;
-    }
-    c.last_used = ++tick_;
-    stats.logical_chunk_bytes += c.encoded_bytes;
-    logical_written_ += c.encoded_bytes;
-    ++c.refs;  // the new manifest's reference; the old one is released below
-    m.tensors.push_back(std::move(ref));
+  // Phase 1: resolve every tensor to a chunk.  Content the bank holds no
+  // resident copy of (first seen, evicted or found corrupt) gets one frame
+  // in this put's pack, however many of the tensors share it.
+  std::vector<std::size_t> fresh;  // index of the first tensor of each new frame
+  for (std::size_t i = 0; i < ckpt.tensors.size(); ++i) {
+    const Tensor& value = ckpt.tensors[i].value;
+    m.tensors.push_back({ckpt.tensors[i].name, value.shape().dims(), chunk_id(value)});
+    const ChunkId& id = m.tensors.back().id;
+    const auto it = chunks_.find(id);
+    if (it != chunks_.end() && it->second.resident) continue;
+    if (std::none_of(fresh.begin(), fresh.end(),
+                     [&](std::size_t j) { return m.tensors[j].id == id; }))
+      fresh.push_back(i);
   }
 
-  // Phase 2: root the chunks with the manifest (atomic replace on disk).
+  // Phase 2: the pack, then the manifest that roots its frames — the
+  // crash-consistency ordering.  Nothing in memory has changed yet, so a
+  // throw here leaves the bank as it was (minus the pack, removed again).
+  std::vector<PackEntry> entries;
+  const std::string pack = pack_name(next_pack_);
+  if (!fresh.empty()) {
+    wire::Writer w;
+    w.bytes().resize(pack_index_bytes(fresh.size()));
+    for (std::size_t i : fresh) {
+      const std::size_t offset = w.size();
+      const std::size_t length = append_chunk_frame(w, ckpt.tensors[i].value.values(), compression_);
+      entries.push_back({m.tensors[i].id, offset, length});
+    }
+    write_pack_index(w.bytes(), entries);
+    pack_blobs_.put(pack, std::move(w.bytes()));
+  }
+  BankPutStats stats;
   std::vector<std::byte> manifest_bytes = encode_manifest(m);
   stats.manifest_bytes = manifest_bytes.size();
-  manifest_blobs_.put(key, std::move(manifest_bytes));
+  try {
+    manifest_blobs_.put(key, std::move(manifest_bytes));
+  } catch (...) {
+    if (!entries.empty()) pack_blobs_.remove(pack);
+    throw;
+  }
 
-  // Phase 3: swap in the new manifest.  New references were added first, so
-  // an overwrite sharing chunks with its predecessor can never drop them to
-  // zero refs in between.  A new key releases an empty manifest.
+  // Phase 3: commit.  New references are added before the old manifest's
+  // are released, so an overwrite sharing chunks with its predecessor can
+  // never drop them to zero refs in between.  A new key releases an empty
+  // manifest.
+  if (!entries.empty()) {
+    const std::uint64_t seq = next_pack_++;
+    std::vector<ChunkId>& hosted = packs_[seq];
+    for (const PackEntry& e : entries) {
+      Chunk& c = chunks_[e.id];
+      c.resident = true;
+      c.pack = seq;
+      c.offset = e.offset;
+      c.encoded_bytes = e.length;
+      resident_bytes_ += e.length;
+      stats.new_chunk_bytes += e.length;
+      hosted.push_back(e.id);
+    }
+    unique_written_ += stats.new_chunk_bytes;
+  }
+  for (const TensorRef& ref : m.tensors) {
+    Chunk& c = chunks_.at(ref.id);
+    c.last_used = ++tick_;
+    ++c.refs;
+    stats.logical_chunk_bytes += c.encoded_bytes;
+  }
+  stats.deduped_chunks = m.tensors.size() - entries.size();
+  logical_written_ += stats.logical_chunk_bytes;
   Manifest& slot = manifests_[key];
   release_manifest_locked(slot);
   slot = std::move(m);
@@ -310,10 +471,11 @@ std::optional<std::vector<float>> WeightBank::load_chunk_locked(const TensorRef&
   std::size_t count = 1;
   for (std::int64_t d : ref.dims) count *= static_cast<std::size_t>(d);
   try {
-    return decode_chunk_frame(chunk_blobs_.get(ref.id.hex()).value(), count);
+    return decode_chunk_frame(pack_blobs_.get(pack_name(c.pack), c.offset, c.encoded_bytes).value(),
+                              count);
   } catch (const std::exception& e) {
     // Corrupt (or unreadable) chunk: de-materialise it so a future re-put of
-    // the same content refetches a clean copy, and report a miss — the
+    // the same content writes a clean copy, and report a miss — the
     // evaluator's random-init fallback handles the rest.
     log_warn("weight bank: corrupt chunk ", ref.id.hex(), " (", ref.name,
              "): ", e.what());
@@ -321,7 +483,7 @@ std::optional<std::vector<float>> WeightBank::load_chunk_locked(const TensorRef&
     if (metrics_enabled()) metrics().counter("bank.corrupt_chunks_total").add();
     resident_bytes_ -= c.encoded_bytes;
     c.resident = false;
-    chunk_blobs_.remove(ref.id.hex());
+    drop_frames_locked({{c.pack, {ref.id}}});
     return std::nullopt;
   }
 }
@@ -351,23 +513,27 @@ std::optional<Checkpoint> WeightBank::try_get(const std::string& key,
 }
 
 void WeightBank::release_manifest_locked(const Manifest& m) {
+  FramesByPack gone;
   for (const TensorRef& ref : m.tensors) {
     auto it = chunks_.find(ref.id);
     if (it == chunks_.end()) continue;
     if (--it->second.refs == 0) {
-      if (it->second.resident) resident_bytes_ -= it->second.encoded_bytes;
-      chunk_blobs_.remove(ref.id.hex());
+      if (it->second.resident) {
+        resident_bytes_ -= it->second.encoded_bytes;
+        gone[it->second.pack].push_back(ref.id);
+      }
       chunks_.erase(it);
     }
   }
+  drop_frames_locked(gone);
 }
 
 bool WeightBank::remove(const std::string& key) {
   std::scoped_lock lock(mutex_);
   auto it = manifests_.find(key);
   if (it == manifests_.end()) return false;
-  // The root goes first: a kill before the chunks are released leaves
-  // orphans, which reopen collects, never a manifest naming lost chunks.
+  // The root goes first: a kill before the packs are rewritten leaves dead
+  // frames, which reopen collects, never a manifest naming lost chunks.
   manifest_blobs_.remove(key);
   release_manifest_locked(it->second);
   manifests_.erase(it);
@@ -376,6 +542,7 @@ bool WeightBank::remove(const std::string& key) {
 
 void WeightBank::evict_to_budget_locked() {
   if (byte_budget_ == 0) return;
+  FramesByPack gone;
   while (resident_bytes_ > byte_budget_) {
     // LRU victim with (last_used, id) tie-break: deterministic for a
     // deterministic operation sequence.
@@ -392,7 +559,42 @@ void WeightBank::evict_to_budget_locked() {
     evicted_bytes_ += c.encoded_bytes;
     if (metrics_enabled()) metrics().counter("bank.evicted_chunks_total").add();
     c.resident = false;  // the entry stays: refcounts must survive eviction
-    chunk_blobs_.remove(victim->first.hex());
+    gone[c.pack].push_back(victim->first);
+  }
+  drop_frames_locked(gone);
+}
+
+void WeightBank::drop_frames_locked(const FramesByPack& gone) {
+  for (const auto& [seq, ids] : gone) {
+    std::vector<ChunkId>& hosted = packs_.at(seq);
+    for (const ChunkId& id : ids) std::erase(hosted, id);
+    rewrite_pack_locked(seq);
+  }
+}
+
+void WeightBank::rewrite_pack_locked(std::uint64_t seq) {
+  const auto it = packs_.find(seq);
+  const std::string name = pack_name(seq);
+  if (it->second.empty()) {
+    pack_blobs_.remove(name);
+    packs_.erase(it);
+    return;
+  }
+  try {
+    wire::Writer w;
+    w.bytes().resize(pack_index_bytes(it->second.size()));
+    std::vector<PackEntry> entries;
+    for (const ChunkId& id : it->second) {
+      const Chunk& c = chunks_.at(id);
+      const std::vector<std::byte> frame = pack_blobs_.get(name, c.offset, c.encoded_bytes).value();
+      entries.push_back({id, w.size(), frame.size()});
+      w.raw(frame.data(), frame.size());
+    }
+    write_pack_index(w.bytes(), entries);
+    pack_blobs_.put(name, std::move(w.bytes()));
+    for (const PackEntry& e : entries) chunks_.at(e.id).offset = e.offset;
+  } catch (const std::exception& e) {
+    log_warn("weight bank: could not rewrite pack ", name, ": ", e.what());
   }
 }
 

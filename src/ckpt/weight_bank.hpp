@@ -4,30 +4,39 @@
 // and reads the whole parent blob back before scoring a child, so the PFS
 // traffic of Fig. 10/11 grows with population x checkpoint size even when
 // most tensor content is shared (retried attempts, frozen layers, warm
-// starts from a previous run).  The bank replaces the flat blob with two
-// content-addressed planes:
+// starts from a previous run).  The bank replaces the flat blob with
+// refcounted chunks, one per *distinct tensor content*, keyed by a 128-bit
+// hash of the tensor's dims + raw float bytes and optionally compressed
+// (compress.hpp).  They are stored on two planes:
 //
-//   chunks/    one refcounted, optionally compressed (compress.hpp) chunk
-//              per *distinct tensor content*, keyed by a 128-bit hash of the
-//              tensor's dims + raw float bytes ("<32 hex>.chk");
+//   packs/     one pack per put that met content the bank held no resident
+//              copy of ("<16 hex seq>.pack"): a CRC-framed index of
+//              (chunk id, offset, length), then the chunks' CRC-framed
+//              frames.  A read fetches one frame by its range;
 //   manifests/ one small manifest per checkpoint key listing (name, dims,
 //              chunk hash) per tensor plus arch/score ("<key>.swtm").
 //
-// A put() only writes chunks the bank has never seen, so structurally
+// A put() only stores chunks the bank holds no copy of, so structurally
 // identical tensors across the population dedupe to one stored copy, and
 // the modelled PFS cost of a provider lookup is the manifest read — the
 // chunks a child needs were just written by its parent's evaluation and are
-// treated as cluster-cache hits (DESIGN.md "Weight bank").
+// treated as cluster-cache hits (DESIGN.md "Weight bank").  Prices are pure
+// functions of content, never of how the bytes are laid out in files.
 //
 // Each plane is a BlobDir (blob_dir.hpp), which keeps the bytes in memory or
-// as files.  Durability mirrors the journal: every blob is CRC-32-framed
-// over the wire codec, every file is written tmp + fsync + rename, and a
-// put() writes its chunks *before* its manifest — a process killed mid-put
-// leaves at worst orphan chunks, which reopen garbage-collects.
-// Eviction under a byte budget is LRU over resident chunk payloads; an
-// evicted or CRC-corrupt chunk turns the keys that reference it into read
-// misses (the caller falls back to random init, or re-puts the content,
-// which re-materialises the chunk).
+// as files.  Durability mirrors the journal: every frame and index is
+// CRC-32-framed over the wire codec, every file is written tmp + fsync +
+// rename, and a put() writes its pack *before* its manifest, so it creates
+// at most two files whatever its tensor count.  In-memory state changes only
+// once both are written: a put that throws leaves the bank as it was.
+//
+// One invariant ties the planes together: the packs on disk hold exactly the
+// frames of chunks that are referenced and resident.  Releasing, evicting
+// (LRU over resident chunk bytes, under a byte budget) or finding a
+// CRC-corrupt chunk rewrites its pack without that frame, or deletes the
+// pack once it hosts nothing.  An evicted or corrupt chunk turns the keys
+// that reference it into read misses (the caller falls back to random init,
+// or re-puts the content, which re-materialises the chunk in a new pack).
 #pragma once
 
 #include <compare>
@@ -54,7 +63,7 @@ struct ChunkId {
 
   friend auto operator<=>(const ChunkId&, const ChunkId&) = default;
 
-  /// 32 lowercase hex characters (the chunk's file stem).
+  /// 32 lowercase hex characters (how logs name the chunk).
   [[nodiscard]] std::string hex() const;
 };
 
@@ -101,21 +110,27 @@ class WeightBank {
  public:
   enum class Backend { kMemory, kDisk };
 
-  /// Disk backend persists under `dir`/chunks and `dir`/manifests (created
-  /// if missing) and, on reopen, adopts every intact manifest, rebuilds
-  /// chunk refcounts from them, sweeps ".tmp" staging debris and
-  /// garbage-collects orphan chunks (the artifact of a writer killed
-  /// between its chunk and manifest writes).  `byte_budget` bounds resident
-  /// encoded chunk bytes (0 = unlimited); `compression` encodes every chunk
-  /// payload.
+  /// Disk backend persists under `dir`/packs and `dir`/manifests (created
+  /// if missing).  Reopen adopts every intact manifest and rebuilds chunk
+  /// refcounts from them, then adopts pack indexes in sequence order (the
+  /// newest copy of a chunk wins), sweeps ".tmp" staging debris and
+  /// rewrites or deletes packs holding frames no manifest needs (a writer
+  /// killed between its pack and manifest writes leaves such a pack).  A
+  /// pack whose index fails its checks is deleted with a warning, so its
+  /// chunks read as misses.  A `dir` in the version-1 layout (a chunks/
+  /// plane) is refused with std::runtime_error.  `byte_budget` bounds
+  /// resident encoded chunk bytes (0 = unlimited); `compression` encodes
+  /// every chunk payload.
   explicit WeightBank(Backend backend, std::filesystem::path dir = {},
                       CompressionKind compression = CompressionKind::kNone,
                       std::size_t byte_budget = 0);
 
   /// Store `ckpt` under `key` (overwrites; the old manifest's references
-  /// are released).  Chunks are written before the manifest and both are
+  /// are released).  The pack is written before the manifest and both are
   /// CRC-framed + atomically renamed, so a kill at any instant leaves
   /// either the old complete checkpoint or the new one, never a torn mix.
+  /// Strong exception guarantee: when a write throws, the bank's state and
+  /// files are those before the call.
   BankPutStats put(const std::string& key, const Checkpoint& ckpt);
 
   /// Reassemble the checkpoint under `key`; empty when the key is unknown
@@ -127,7 +142,8 @@ class WeightBank {
                                                   std::size_t* manifest_bytes = nullptr);
 
   /// Drop `key`: its manifest is deleted and every referenced chunk's
-  /// refcount is decremented; zero-ref chunks are erased (and unlinked).
+  /// refcount is decremented; zero-ref chunks are erased and their frames
+  /// leave their packs.
   bool remove(const std::string& key);
 
   [[nodiscard]] bool contains(const std::string& key) const;
@@ -152,11 +168,15 @@ class WeightBank {
     std::vector<TensorRef> tensors;
   };
   struct Chunk {
-    std::size_t encoded_bytes = 0;  ///< size whether or not resident
+    std::size_t encoded_bytes = 0;  ///< frame length whether or not resident
     std::uint64_t refs = 0;         ///< manifests referencing this content
     std::uint64_t last_used = 0;    ///< LRU tick
-    bool resident = true;           ///< in chunk_blobs_; false once evicted / found corrupt
+    bool resident = true;           ///< false once evicted / found corrupt
+    std::uint64_t pack = 0;         ///< sequence number of the pack holding the frame
+    std::size_t offset = 0;         ///< the frame's byte offset in that pack
   };
+  /// Frames to take out of their packs, by pack sequence number.
+  using FramesByPack = std::map<std::uint64_t, std::vector<ChunkId>>;
 
   [[nodiscard]] std::vector<std::byte> encode_manifest(const Manifest& m) const;
   /// CRC-checked decode; throws std::runtime_error on any mismatch.
@@ -166,15 +186,24 @@ class WeightBank {
   /// Fetch + CRC-verify + decode one chunk; empty on eviction or corruption
   /// (the corrupt entry is de-materialised so it can be re-put).
   [[nodiscard]] std::optional<std::vector<float>> load_chunk_locked(const TensorRef& ref);
+  /// Take `gone` out of their packs' hosted lists, then rewrite each pack.
+  void drop_frames_locked(const FramesByPack& gone);
+  /// Rewrite pack `seq` with exactly its hosted frames, or delete it when it
+  /// hosts none.  An I/O failure is logged and leaves the old file, whose
+  /// offsets stay valid, for the next reopen to rewrite.
+  void rewrite_pack_locked(std::uint64_t seq);
 
   CompressionKind compression_;
   std::size_t byte_budget_;
 
   mutable std::mutex mutex_;
-  BlobDir chunk_blobs_;     ///< "<32 hex>.chk" frames of resident chunks
+  BlobDir pack_blobs_;      ///< "<16 hex seq>.pack" frames of resident chunks
   BlobDir manifest_blobs_;  ///< "<key>.swtm" manifests
   std::map<std::string, Manifest> manifests_;
   std::map<ChunkId, Chunk> chunks_;
+  /// The chunks whose frames each pack hosts, in the pack's index order.
+  std::map<std::uint64_t, std::vector<ChunkId>> packs_;
+  std::uint64_t next_pack_ = 0;  ///< above every sequence number seen on disk
   std::uint64_t tick_ = 0;
   std::size_t resident_bytes_ = 0;
   std::size_t unique_written_ = 0;

@@ -56,6 +56,28 @@ std::vector<std::byte> read_file(const std::filesystem::path& path) {
   return bytes;
 }
 
+std::vector<std::byte> read_file_range(const std::filesystem::path& path,
+                                       std::size_t offset, std::size_t length) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) fail("open(read)", path);
+  std::vector<std::byte> bytes(length);
+  std::size_t done = 0;
+  while (done < length) {
+    const ssize_t n = ::pread(fd, bytes.data() + done, length - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      const int err = n == 0 ? EIO : errno;  // n == 0: the file ends inside the range
+      ::close(fd);
+      errno = err;
+      fail("pread", path);
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  return bytes;
+}
+
 std::filesystem::path tmp_sibling(const std::filesystem::path& path) {
   std::filesystem::path tmp = path;
   tmp += ".tmp";

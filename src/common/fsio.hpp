@@ -28,6 +28,11 @@ namespace swt::fsio {
 /// files never see growth, only replacement).
 [[nodiscard]] std::vector<std::byte> read_file(const std::filesystem::path& path);
 
+/// Read `length` bytes at `offset` with pread(2).  Throws std::runtime_error
+/// when the file cannot be opened or ends before `offset + length`.
+[[nodiscard]] std::vector<std::byte> read_file_range(const std::filesystem::path& path,
+                                                     std::size_t offset, std::size_t length);
+
 /// Atomically replace `path` with `data`: tmp sibling -> fsync -> rename,
 /// then fsync the parent directory.  Throws std::runtime_error on any
 /// failure (the tmp sibling is unlinked on the error path).  `sync = false`

@@ -438,6 +438,12 @@ TEST(BlobDir, MemoryAndDiskBehaveAlike) {
     blobs->put("a", bytes);
     blobs->put("b", {std::byte{9}});
     EXPECT_EQ(blobs->get("a"), bytes);
+    // Ranged reads: the bank fetches one frame of a pack this way.
+    EXPECT_EQ(blobs->get("a", 1, 2), (std::vector<std::byte>{std::byte{2}, std::byte{3}}));
+    EXPECT_EQ(blobs->get("a", 3, 0), std::vector<std::byte>{});
+    EXPECT_THROW((void)blobs->get("a", 2, 2), std::runtime_error);
+    EXPECT_THROW((void)blobs->get("a", 4, 0), std::runtime_error);
+    EXPECT_FALSE(blobs->get("absent", 0, 1).has_value());
     EXPECT_EQ(blobs->sizes(), (std::map<std::string, std::size_t>{{"a", 3}, {"b", 1}}));
     EXPECT_TRUE(blobs->remove("b"));
     EXPECT_FALSE(blobs->remove("b"));

@@ -1,12 +1,14 @@
 // Content-addressed weight bank (DESIGN.md "Weight bank"): chunk hashing,
 // dedup accounting, LRU eviction, refcounts across remove, corrupt-chunk
-// fallback, disk reopen/GC, the banked CheckpointStore routing, and the
-// cross-run warm-start path through run_nas.
+// fallback, the pack layout (one pack per put, disk = resident set), disk
+// reopen/GC, the banked CheckpointStore routing, and the cross-run
+// warm-start path through run_nas.
 #include "ckpt/weight_bank.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -57,6 +59,26 @@ class TempDir {
   c.score = score;
   for (auto& [name, t] : tensors) c.tensors.push_back({name, t});
   return c;
+}
+
+/// The regular files directly under `dir`, sorted by name.
+[[nodiscard]] std::vector<fs::path> files_in(const fs::path& dir) {
+  std::vector<fs::path> out;
+  for (const auto& entry : fs::directory_iterator(dir))
+    if (entry.is_regular_file()) out.push_back(entry.path());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void expect_same_stats(const BankStats& got, const BankStats& want) {
+  EXPECT_EQ(got.chunk_count, want.chunk_count);
+  EXPECT_EQ(got.resident_chunk_bytes, want.resident_chunk_bytes);
+  EXPECT_EQ(got.manifest_count, want.manifest_count);
+  EXPECT_EQ(got.manifest_bytes, want.manifest_bytes);
+  EXPECT_EQ(got.unique_bytes_written, want.unique_bytes_written);
+  EXPECT_EQ(got.logical_bytes_written, want.logical_bytes_written);
+  EXPECT_EQ(got.evicted_chunks, want.evicted_chunks);
+  EXPECT_EQ(got.corrupt_chunks, want.corrupt_chunks);
 }
 
 // ---------------------------------------------------------------------------
@@ -194,20 +216,43 @@ TEST(WeightBank, SharedChunkSurvivesRemovingOneReference) {
   EXPECT_FALSE(bank.remove("b"));
 }
 
-TEST(WeightBank, DiskRemoveUnlinksChunkAtZeroRefs) {
+TEST(WeightBank, DiskRemoveDropsPackAtZeroRefs) {
   TempDir dir("remove");
   WeightBank bank(WeightBank::Backend::kDisk, dir.path());
   const Tensor shared = tensor_of({8}, 5.0f);
   bank.put("a", ckpt_with({{"l/W", shared}}));
-  bank.put("b", ckpt_with({{"l/W", shared}}));
-  const auto chunk_file =
-      dir.path() / "chunks" / (chunk_id(shared).hex() + ".chk");
-  ASSERT_TRUE(fs::exists(chunk_file));
+  bank.put("b", ckpt_with({{"l/W", shared}}));  // dedupes: writes no pack
+  const std::vector<fs::path> packs = files_in(dir.path() / "packs");
+  ASSERT_EQ(packs.size(), 1u);
   EXPECT_TRUE(bank.remove("a"));
-  EXPECT_TRUE(fs::exists(chunk_file));  // "b" still references it
+  EXPECT_EQ(files_in(dir.path() / "packs"), packs);  // "b" still references it
   EXPECT_FALSE(fs::exists(dir.path() / "manifests" / "a.swtm"));
   EXPECT_TRUE(bank.remove("b"));
-  EXPECT_FALSE(fs::exists(chunk_file));
+  EXPECT_TRUE(files_in(dir.path() / "packs").empty());
+}
+
+TEST(WeightBank, RemovingOneOfTwoKeysKeepsSharedChunkAcrossReopen) {
+  // "a" and "b" share one chunk, which lives in "a"'s pack.  Removing "a"
+  // rewrites that pack down to the shared frame; "b" must survive reopen.
+  TempDir dir("shared_reopen");
+  const Tensor shared = tensor_of({8}, 5.0f);
+  const Tensor own_b = tensor_of({4}, 9.0f);
+  {
+    WeightBank bank(WeightBank::Backend::kDisk, dir.path());
+    bank.put("a", ckpt_with({{"l/W", shared}, {"h/W", tensor_of({4}, 8.0f)}}));
+    bank.put("b", ckpt_with({{"l/W", shared}, {"h/W", own_b}}));
+    const std::size_t before = fs::file_size(files_in(dir.path() / "packs").front());
+    EXPECT_TRUE(bank.remove("a"));
+    ASSERT_EQ(files_in(dir.path() / "packs").size(), 2u);
+    EXPECT_LT(fs::file_size(files_in(dir.path() / "packs").front()), before);
+  }
+  WeightBank reopened(WeightBank::Backend::kDisk, dir.path());
+  EXPECT_FALSE(reopened.contains("a"));
+  EXPECT_EQ(reopened.stats().chunk_count, 2u);
+  const auto got = reopened.try_get("b");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->tensors[0].value, shared);
+  EXPECT_EQ(got->tensors[1].value, own_b);
 }
 
 // ---------------------------------------------------------------------------
@@ -238,9 +283,10 @@ TEST(WeightBank, EvictsLeastRecentlyUsedUnderBudget) {
   EXPECT_TRUE(bank.try_get("old").has_value());
 }
 
-TEST(WeightBank, DiskEvictionUnlinksChunkAndRePutHeals) {
-  // On disk the budget bounds stored chunk bytes, so eviction unlinks the
-  // file: the evicted key reads as a miss until its content is re-put.
+TEST(WeightBank, DiskEvictionDropsPackAndRePutHeals) {
+  // On disk the budget bounds stored chunk bytes, so eviction takes the
+  // frame out of its pack (here: deletes the pack, which hosts nothing
+  // else): the evicted key reads as a miss until its content is re-put.
   const Tensor t1 = tensor_of({64}, 1.0f);
   const Tensor t2 = tensor_of({64}, 2.0f);
   TempDir dir("evict");
@@ -252,14 +298,45 @@ TEST(WeightBank, DiskEvictionUnlinksChunkAndRePutHeals) {
   WeightBank bank(WeightBank::Backend::kDisk, dir.path(), CompressionKind::kNone,
                   one_chunk + one_chunk / 2);
   bank.put("old", ckpt_with({{"l/W", t1}}));
+  const std::vector<fs::path> old_pack = files_in(dir.path() / "packs");
   bank.put("new", ckpt_with({{"l/W", t2}}));
   EXPECT_EQ(bank.stats().evicted_chunks, 1u);
-  EXPECT_FALSE(fs::exists(dir.path() / "chunks" / (chunk_id(t1).hex() + ".chk")));
+  ASSERT_EQ(old_pack.size(), 1u);
+  EXPECT_FALSE(fs::exists(old_pack.front()));
+  EXPECT_EQ(files_in(dir.path() / "packs").size(), 1u);
   EXPECT_FALSE(bank.try_get("old").has_value());
   bank.put("old", ckpt_with({{"l/W", t1}}));
   const auto got = bank.try_get("old");
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->tensors[0].value, t1);
+}
+
+TEST(WeightBank, EvictedChunkStillMissesAfterReopen) {
+  // Disk = resident set: an evicted frame is gone from disk, so no reopen,
+  // with or without a budget, can bring the evicted key back.
+  const Tensor t1 = tensor_of({64}, 1.0f);
+  const Tensor t2 = tensor_of({64}, 2.0f);
+  TempDir dir("evict_reopen");
+  const std::size_t one_chunk =
+      [&] {
+        WeightBank probe(WeightBank::Backend::kMemory);
+        return probe.put("p", ckpt_with({{"l/W", t1}})).new_chunk_bytes;
+      }();
+  const std::size_t budget = one_chunk + one_chunk / 2;
+  {
+    WeightBank bank(WeightBank::Backend::kDisk, dir.path(), CompressionKind::kNone, budget);
+    bank.put("old", ckpt_with({{"l/W", t1}}));
+    bank.put("new", ckpt_with({{"l/W", t2}}));
+    ASSERT_EQ(bank.stats().evicted_chunks, 1u);
+  }
+  for (std::size_t reopen_budget : {budget, std::size_t{0}}) {
+    WeightBank reopened(WeightBank::Backend::kDisk, dir.path(), CompressionKind::kNone,
+                        reopen_budget);
+    EXPECT_TRUE(reopened.contains("old"));
+    EXPECT_FALSE(reopened.try_get("old").has_value()) << reopen_budget;
+    EXPECT_TRUE(reopened.try_get("new").has_value()) << reopen_budget;
+    EXPECT_EQ(reopened.stats().resident_chunk_bytes, one_chunk);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -270,19 +347,20 @@ TEST(WeightBank, CorruptChunkReadsAsMissAndHealsOnRePut) {
   WeightBank bank(WeightBank::Backend::kDisk, dir.path());
   const Checkpoint c = ckpt_with({{"l/W", tensor_of({16}, 7.0f)}});
   bank.put("victim", c);
-  const auto chunk_file =
-      dir.path() / "chunks" / (chunk_id(c.tensors[0].value).hex() + ".chk");
-  ASSERT_TRUE(fs::exists(chunk_file));
+  const std::vector<fs::path> packs = files_in(dir.path() / "packs");
+  ASSERT_EQ(packs.size(), 1u);
+  const fs::path& pack = packs.front();
   {
-    std::fstream f(chunk_file, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(static_cast<std::streamoff>(fs::file_size(chunk_file) / 2));
+    // Past the 49-byte index of a one-entry pack: inside the chunk's frame.
+    std::fstream f(pack, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(fs::file_size(pack) - 20));
     f.put('\x5a');
   }
-  // CRC catches the flip: the read is a miss, the stat counts it, and the
-  // poisoned file is dropped so it cannot satisfy future reads.
+  // The frame's CRC catches the flip: the read is a miss, the stat counts
+  // it, and the poisoned frame leaves disk so it cannot satisfy future reads.
   EXPECT_FALSE(bank.try_get("victim").has_value());
   EXPECT_EQ(bank.stats().corrupt_chunks, 1u);
-  EXPECT_FALSE(fs::exists(chunk_file));
+  EXPECT_FALSE(fs::exists(pack));
   // A later re-put of the same content heals the key.
   bank.put("victim", c);
   const auto got = bank.try_get("victim");
@@ -326,6 +404,53 @@ TEST(WeightBank, CorruptManifestIsSkippedOnReopen) {
   EXPECT_FALSE(fs::exists(inflated));
 }
 
+/// Apply `mutate` to the pack at `path`, then re-seal its index CRC where
+/// the unmutated index put it, so only the decoder's own checks can object.
+template <typename Mutate>
+void reseal_pack(const fs::path& path, Mutate mutate) {
+  std::vector<std::byte> bytes = fsio::read_file(path);
+  std::uint64_t entries = 0;
+  std::memcpy(&entries, bytes.data() + 5, sizeof entries);  // after magic + version
+  const std::size_t body = 13 + 32 * entries;
+  mutate(bytes);
+  const std::uint32_t crc = crc32(bytes.data(), body);
+  std::memcpy(bytes.data() + body, &crc, sizeof crc);
+  fsio::atomic_write_file(path, bytes.data(), bytes.size());
+}
+
+TEST(WeightBank, CorruptPackIndexIsDroppedOnReopen) {
+  // One pack per key, in put order.  Behind a valid CRC: a flipped magic
+  // byte, an entry count of 2^61 (which must be refused against the pack's
+  // size, not reserved for) and a frame offset at the end of the file.
+  TempDir dir("badpack");
+  const std::vector<std::string> keys = {"good", "flipped", "inflated", "offset"};
+  {
+    WeightBank bank(WeightBank::Backend::kDisk, dir.path());
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      bank.put(keys[i], ckpt_with({{"l/W", tensor_of({4}, static_cast<float>(i))},
+                                   {"l/b", tensor_of({2}, 10.0f + static_cast<float>(i))}}));
+  }
+  const std::vector<fs::path> packs = files_in(dir.path() / "packs");
+  ASSERT_EQ(packs.size(), keys.size());
+  reseal_pack(packs[1], [](std::vector<std::byte>& b) { b[0] ^= std::byte{0x01}; });
+  reseal_pack(packs[2], [](std::vector<std::byte>& b) {
+    const std::uint64_t count = std::uint64_t{1} << 61;
+    std::memcpy(b.data() + 5, &count, sizeof count);
+  });
+  reseal_pack(packs[3], [](std::vector<std::byte>& b) {
+    const std::uint64_t offset = b.size();
+    std::memcpy(b.data() + 13 + 16, &offset, sizeof offset);  // entry 0, after its id
+  });
+  WeightBank reopened(WeightBank::Backend::kDisk, dir.path());
+  EXPECT_EQ(reopened.count(), keys.size());  // manifests are intact
+  EXPECT_TRUE(reopened.try_get("good").has_value());
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    EXPECT_FALSE(reopened.try_get(keys[i]).has_value()) << keys[i];
+    EXPECT_FALSE(fs::exists(packs[i])) << keys[i];  // dropped, never adopted
+  }
+  EXPECT_EQ(files_in(dir.path() / "packs"), std::vector<fs::path>{packs[0]});
+}
+
 // ---------------------------------------------------------------------------
 // disk reopen: adoption, refcount rebuild, orphan GC, tmp sweep
 
@@ -349,35 +474,124 @@ TEST(WeightBank, DiskReopenAdoptsManifestsAndRebuildsRefcounts) {
   EXPECT_EQ(got->tensors[0].value, shared);
 }
 
-TEST(WeightBank, DiskReopenCollectsOrphanChunksAndTmpDebris) {
+TEST(WeightBank, PackWithoutManifestIsDeletedOnReopen) {
+  // A kill between a put's pack and manifest writes leaves a pack no
+  // manifest roots: reopen deletes it, and the put never happened.
+  TempDir dir("orphan_pack");
+  {
+    WeightBank bank(WeightBank::Backend::kDisk, dir.path());
+    bank.put("kept", ckpt_with({{"l/W", tensor_of({4}, 1.0f)}}));
+    bank.put("torn", ckpt_with({{"l/W", tensor_of({4}, 42.0f)}, {"l/b", tensor_of({2}, 3.0f)}}));
+  }
+  const std::vector<fs::path> packs = files_in(dir.path() / "packs");
+  ASSERT_EQ(packs.size(), 2u);
+  fs::remove(dir.path() / "manifests" / "torn.swtm");
+  WeightBank reopened(WeightBank::Backend::kDisk, dir.path());
+  EXPECT_EQ(reopened.count(), 1u);
+  EXPECT_EQ(reopened.stats().chunk_count, 1u);
+  EXPECT_EQ(files_in(dir.path() / "packs"), std::vector<fs::path>{packs[0]});
+  ASSERT_TRUE(reopened.try_get("kept").has_value());
+  // The next put takes a fresh sequence number, above the deleted pack's.
+  reopened.put("next", ckpt_with({{"l/W", tensor_of({4}, 7.0f)}}));
+  const std::vector<fs::path> after = files_in(dir.path() / "packs");
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_GT(after[1].filename(), packs[1].filename());
+}
+
+TEST(WeightBank, DiskReopenCollectsForeignPacksAndTmpDebris) {
   TempDir dir("gc");
   {
     WeightBank bank(WeightBank::Backend::kDisk, dir.path());
     bank.put("kept", ckpt_with({{"l/W", tensor_of({4}, 1.0f)}}));
   }
-  // An orphan chunk (writer killed between chunk and manifest writes) and
-  // staging debris from torn atomic writes.
-  const Tensor orphan = tensor_of({4}, 42.0f);
-  const auto orphan_file =
-      dir.path() / "chunks" / (chunk_id(orphan).hex() + ".chk");
-  {
-    std::ofstream out(orphan_file, std::ios::binary);
-    out << "orphan chunk payload";
-  }
-  {
-    std::ofstream out(dir.path() / "chunks" / "feed.chk.tmp", std::ios::binary);
-    out << "torn";
-  }
-  {
-    std::ofstream out(dir.path() / "manifests" / "torn.swtm.tmp", std::ios::binary);
+  // A pack name this bank never writes, and staging debris from torn
+  // atomic writes.
+  for (const fs::path& junk : {dir.path() / "packs" / "feed.pack",
+                               dir.path() / "packs" / "0000000000000009.pack.tmp",
+                               dir.path() / "manifests" / "torn.swtm.tmp"}) {
+    std::ofstream out(junk, std::ios::binary);
     out << "torn";
   }
   WeightBank reopened(WeightBank::Backend::kDisk, dir.path());
   EXPECT_EQ(reopened.count(), 1u);
-  EXPECT_FALSE(fs::exists(orphan_file));
-  EXPECT_FALSE(fs::exists(dir.path() / "chunks" / "feed.chk.tmp"));
+  EXPECT_FALSE(fs::exists(dir.path() / "packs" / "feed.pack"));
+  EXPECT_FALSE(fs::exists(dir.path() / "packs" / "0000000000000009.pack.tmp"));
   EXPECT_FALSE(fs::exists(dir.path() / "manifests" / "torn.swtm.tmp"));
+  EXPECT_EQ(files_in(dir.path() / "packs").size(), 1u);
   ASSERT_TRUE(reopened.try_get("kept").has_value());
+}
+
+TEST(WeightBank, VersionOneLayoutIsRefusedAtOpen) {
+  // A chunks/ plane is the version-1 layout: refuse it whole instead of
+  // deleting its manifests one by one as corrupt.
+  TempDir dir("v1");
+  fs::create_directories(dir.path() / "chunks");
+  fs::create_directories(dir.path() / "manifests");
+  std::ofstream(dir.path() / "manifests" / "old.swtm") << "v1";
+  EXPECT_THROW(WeightBank(WeightBank::Backend::kDisk, dir.path()), std::runtime_error);
+  EXPECT_TRUE(fs::exists(dir.path() / "manifests" / "old.swtm"));
+}
+
+// ---------------------------------------------------------------------------
+// pack layout and the put's exception guarantee
+
+TEST(WeightBank, MultiTensorPutWritesOnePackAndOneManifest) {
+  TempDir dir("one_pack");
+  WeightBank bank(WeightBank::Backend::kDisk, dir.path());
+  const Checkpoint c = ckpt_with({{"conv/W", tensor_of({8, 3}, 1.0f)},
+                                  {"conv/b", tensor_of({8}, 2.0f)},
+                                  {"bn/gamma", tensor_of({8}, 3.0f)},
+                                  {"bn/beta", tensor_of({8}, 4.0f)},
+                                  {"dense/W", tensor_of({24, 16}, 5.0f)},
+                                  {"dense/b", tensor_of({16}, 6.0f)},
+                                  {"out/W", tensor_of({16, 2}, 7.0f)},
+                                  {"out/b", tensor_of({2}, 8.0f)}});
+  bank.put("k", c);
+  EXPECT_EQ(files_in(dir.path() / "packs").size(), 1u);
+  EXPECT_EQ(files_in(dir.path() / "manifests").size(), 1u);
+  EXPECT_EQ(bank.stats().chunk_count, 8u);
+  // A put whose content is all resident writes its manifest only.
+  bank.put("again", c);
+  EXPECT_EQ(files_in(dir.path() / "packs").size(), 1u);
+  EXPECT_EQ(files_in(dir.path() / "manifests").size(), 2u);
+  const auto got = bank.try_get("again");
+  ASSERT_TRUE(got.has_value());
+  for (std::size_t i = 0; i < c.tensors.size(); ++i)
+    EXPECT_EQ(got->tensors[i].value, c.tensors[i].value) << c.tensors[i].name;
+}
+
+TEST(WeightBank, ThrowingPutLeavesBankUnchanged) {
+  TempDir dir("throwing_put");
+  const Checkpoint c = ckpt_with({{"l/W", tensor_of({16}, 1.0f)},
+                                  {"l/b", tensor_of({4}, 2.0f)}});
+  WeightBank bank(WeightBank::Backend::kDisk, dir.path());
+  const BankStats fresh = bank.stats();
+  // The pack write fails: no chunk may stay marked resident without bytes,
+  // and no reference may stay taken.
+  fs::remove_all(dir.path() / "packs");
+  EXPECT_THROW(bank.put("a", c), std::runtime_error);
+  expect_same_stats(bank.stats(), fresh);
+  EXPECT_FALSE(bank.contains("a"));
+  // The same content under another key is written afresh and round-trips.
+  fs::create_directories(dir.path() / "packs");
+  const BankPutStats put = bank.put("b", c);
+  EXPECT_EQ(put.deduped_chunks, 0u);
+  auto got = bank.try_get("b");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->tensors[0].value, c.tensors[0].value);
+  EXPECT_EQ(got->tensors[1].value, c.tensors[1].value);
+
+  // The manifest write fails after the pack is written: the pack goes
+  // again, and the key keeps its old checkpoint.
+  const BankStats before = bank.stats();
+  const std::vector<fs::path> packs = files_in(dir.path() / "packs");
+  fs::remove_all(dir.path() / "manifests");
+  EXPECT_THROW(bank.put("b", ckpt_with({{"l/W", tensor_of({16}, 9.0f)}})), std::runtime_error);
+  expect_same_stats(bank.stats(), before);
+  EXPECT_EQ(files_in(dir.path() / "packs"), packs);
+  got = bank.try_get("b");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->tensors[0].value, c.tensors[0].value);
 }
 
 // ---------------------------------------------------------------------------
