@@ -4,7 +4,7 @@
 // Reports GFLOP/s for all three GEMM variants (naive vs blocked), the conv
 // forward/backward blocked-vs-direct comparison at one large shape and at
 // the shapes the search trains, Dense's backward dx GEMM at the search's
-// layer sizes, the Adam update (vector kernel vs scalar loop) at its model
+// layer sizes, the Adam update (lane kernel vs scalar loop) at its model
 // sizes and tanh over an NT3 activation — all into BENCH_bench_gemm.json
 // via BenchResultFile.  Every timed pair is also differentially checked
 // (blocked output must equal the reference bit for bit), so the bench
@@ -327,8 +327,9 @@ void dense_backward_study(bool smoke) {
 }
 
 /// One Adam step over the median CIFAR, Uno and NT3 model sizes of a
-/// search: the vector kernel against the scalar reference loop, each
-/// stepping its own copy of w, m and v, which must end byte-identical.
+/// search and over NT3's widest tensor (its 3072 x 128 Dense kernel): the
+/// lane kernel against the scalar reference loop, each stepping its own
+/// copy of w, m and v, which must end byte-identical.
 void search_optimizer_study(bool smoke) {
   print_banner(std::cout, "Adam update at search model sizes, single thread (naive vs kernel)");
   const int reps = smoke ? 20 : 200;
@@ -336,7 +337,10 @@ void search_optimizer_study(bool smoke) {
     const char* name;
     std::int64_t params;
   };
-  const Model models[] = {{"cifar median", 13000}, {"uno median", 20000}, {"nt3 median", 196000}};
+  const Model models[] = {{"cifar median", 13000},
+                          {"uno median", 20000},
+                          {"nt3 median", 196000},
+                          {"nt3 dense 3072x128", 393216}};
   const k::AdamStep step{.alpha = 1e-3, .epsilon = 1e-7, .beta1 = 0.9f, .beta2 = 0.999f};
   TableReport table({"model", "params", "naive ns/param", "kernel ns/param", "speedup"});
   for (const Model& md : models) {

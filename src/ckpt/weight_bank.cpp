@@ -269,6 +269,7 @@ WeightBank::WeightBank(Backend backend, std::filesystem::path dir,
       ++c.refs;
       c.resident = false;  // confirmed below if a pack holds its frame
     }
+    m.adopted = true;
     manifests_[key] = std::move(m);
   }
   // Packs in sequence order (16-hex names sort numerically), so a chunk
@@ -312,15 +313,17 @@ WeightBank::WeightBank(Backend backend, std::filesystem::path dir,
     if (hosted.empty() || hosted.size() != index.size()) stale.insert(*seq);
   }
   for (std::uint64_t seq : stale) rewrite_pack_locked(seq);
+  evict_to_budget_locked();
   // Seed the traffic meters so dedup_ratio() stays meaningful across a
   // reopen: every adopted resident chunk was written once, and every
-  // manifest reference re-counts its chunk logically.
+  // manifest reference re-counts its chunk logically.  remove() takes an
+  // adopted manifest's share back out, which needs the chunks it counts to
+  // be the resident ones, so the seed follows the budget's evictions.
   for (const auto& [id, c] : chunks_)
     if (c.resident) {
       unique_written_ += c.encoded_bytes;
       logical_written_ += c.encoded_bytes * c.refs;
     }
-  evict_to_budget_locked();
 }
 
 std::vector<std::byte> WeightBank::encode_manifest(const Manifest& m) const {
@@ -512,20 +515,23 @@ std::optional<Checkpoint> WeightBank::try_get(const std::string& key,
   return ckpt;
 }
 
-void WeightBank::release_manifest_locked(const Manifest& m) {
+std::size_t WeightBank::release_manifest_locked(const Manifest& m) {
   FramesByPack gone;
+  std::size_t freed = 0;
   for (const TensorRef& ref : m.tensors) {
     auto it = chunks_.find(ref.id);
     if (it == chunks_.end()) continue;
     if (--it->second.refs == 0) {
       if (it->second.resident) {
-        resident_bytes_ -= it->second.encoded_bytes;
+        freed += it->second.encoded_bytes;
         gone[it->second.pack].push_back(ref.id);
       }
       chunks_.erase(it);
     }
   }
+  resident_bytes_ -= freed;
   drop_frames_locked(gone);
+  return freed;
 }
 
 bool WeightBank::remove(const std::string& key) {
@@ -535,7 +541,14 @@ bool WeightBank::remove(const std::string& key) {
   // The root goes first: a kill before the packs are rewritten leaves dead
   // frames, which reopen collects, never a manifest naming lost chunks.
   manifest_blobs_.remove(key);
-  release_manifest_locked(it->second);
+  const Manifest& m = it->second;
+  // An adopted manifest takes back what the reopen seeded the meters with
+  // for it: its references to resident chunks, and the chunks it frees.
+  if (m.adopted)
+    for (const TensorRef& ref : m.tensors)
+      if (const Chunk& c = chunks_.at(ref.id); c.resident) logical_written_ -= c.encoded_bytes;
+  const std::size_t freed = release_manifest_locked(m);
+  if (m.adopted) unique_written_ -= freed;
   manifests_.erase(it);
   return true;
 }

@@ -90,8 +90,11 @@ struct BankStats {
   std::size_t resident_chunk_bytes = 0;  ///< encoded bytes currently materialised
   std::size_t manifest_count = 0;
   std::size_t manifest_bytes = 0;
-  std::size_t unique_bytes_written = 0;   ///< cumulative first-seen chunk bytes
-  std::size_t logical_bytes_written = 0;  ///< cumulative referenced chunk bytes
+  /// Cumulative first-seen and referenced chunk bytes.  A reopened bank
+  /// starts them from its adopted manifests: each resident chunk once, and
+  /// once per reference.
+  std::size_t unique_bytes_written = 0;
+  std::size_t logical_bytes_written = 0;
   std::size_t evicted_chunks = 0;
   std::size_t evicted_bytes = 0;
   std::size_t corrupt_chunks = 0;  ///< CRC failures seen at read time
@@ -143,7 +146,10 @@ class WeightBank {
 
   /// Drop `key`: its manifest is deleted and every referenced chunk's
   /// refcount is decremented; zero-ref chunks are erased and their frames
-  /// leave their packs.
+  /// leave their packs.  A manifest adopted at reopen (not re-put since)
+  /// also takes its share back out of the traffic meters the reopen seeded,
+  /// so a resumed run that drops its unjournaled checkpoints reports the
+  /// meters of the same run uninterrupted.
   bool remove(const std::string& key);
 
   [[nodiscard]] bool contains(const std::string& key) const;
@@ -166,6 +172,7 @@ class WeightBank {
     std::vector<int> arch;
     double score = 0.0;
     std::vector<TensorRef> tensors;
+    bool adopted = false;  ///< read at reopen, so counted in the seeded meters
   };
   struct Chunk {
     std::size_t encoded_bytes = 0;  ///< frame length whether or not resident
@@ -181,7 +188,9 @@ class WeightBank {
   [[nodiscard]] std::vector<std::byte> encode_manifest(const Manifest& m) const;
   /// CRC-checked decode; throws std::runtime_error on any mismatch.
   [[nodiscard]] static Manifest decode_manifest(const std::vector<std::byte>& bytes);
-  void release_manifest_locked(const Manifest& m);
+  /// Drop `m`'s chunk references; returns the encoded bytes of the resident
+  /// chunks that reached zero references and left the bank.
+  std::size_t release_manifest_locked(const Manifest& m);
   void evict_to_budget_locked();
   /// Fetch + CRC-verify + decode one chunk; empty on eviction or corruption
   /// (the corrupt entry is de-materialised so it can be re-put).

@@ -9,6 +9,10 @@
 #include <utility>
 #include <vector>
 
+#if defined(__FMA__)
+#include <immintrin.h>
+#endif
+
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof/counters.hpp"
@@ -631,16 +635,27 @@ void conv_backward(const float* x, const float* w, const float* dy, float* dx,
 // ---------------------------------------------------------------------------
 // Adam update
 // ---------------------------------------------------------------------------
-// Elementwise: a lane of any width runs one element's whole sequence, so the
-// vector loop is bit-identical to the scalar one.  GCC vectorizes it (packed
-// double sqrt and div) only because this TU is built -fno-math-errno: the
-// flag drops std::sqrt's errno write on negative input, and the square root
-// itself stays the same correctly rounded IEEE operation.  The weight-decay
-// test is hoisted out of the loop and the arrays are declared disjoint, so
-// an 8-element bias takes the vector loop too, with no alias check.
+// Elementwise: every element's float result must be the one the scalar
+// reference rounds from its double quotient.  The m and v updates are plain
+// float lane arithmetic.  Builds with FMA form the quotient in float-float
+// lanes and prove, lane by lane, that it rounds to the reference's float;
+// the lanes the proof does not cover, and every element of a build without
+// FMA, run the reference's double expression.
 
 namespace {
 
+/// One element's step: alpha*m / (sqrt(v) + epsilon) in double, rounded
+/// once to float.
+inline float adam_quotient(double alpha, float m, float v, double eps) {
+  return static_cast<float>(alpha * m / (std::sqrt(static_cast<double>(v)) + eps));
+}
+
+/// The double loop.  GCC vectorizes it (packed double sqrt and div) only
+/// because this TU is built -fno-math-errno: the flag drops std::sqrt's
+/// errno write on negative input, and the square root itself stays the
+/// same correctly rounded IEEE operation.  The weight-decay test is hoisted
+/// out of the loop and the arrays are declared disjoint, so an 8-element
+/// bias takes the vector loop too, with no alias check.
 template <bool kDecay>
 void adam_lanes(float* __restrict__ w, const float* __restrict__ g, float* __restrict__ m,
                 float* __restrict__ v, int64_t n, const AdamStep& step) {
@@ -654,14 +669,160 @@ void adam_lanes(float* __restrict__ w, const float* __restrict__ g, float* __res
     if constexpr (kDecay) grad += wd * w[i];
     m[i] = b1 * m[i] + (1.0f - b1) * grad;
     v[i] = b2 * v[i] + (1.0f - b2) * grad * grad;
-    w[i] -= static_cast<float>(alpha * m[i] / (std::sqrt(static_cast<double>(v[i])) + eps));
+    w[i] -= adam_quotient(alpha, m[i], v[i], eps);
   }
 }
+
+#if defined(SWT_VEC_EXT) && defined(__FMA__)
+#define SWT_ADAM_FLOAT_FLOAT 1
+
+// The quotient as a float pair, for one element per lane:
+//  * sqrt(v) = sf + c with sf = sqrtf(v) and c = (v - sf^2) / (2 sf); the
+//    residual v - sf^2 is one exact FMA for a correctly rounded sf;
+//  * D = sqrt(v) + eps = dh + dl (a Fast2Sum of sf and eps's high half,
+//    then c and eps's low half) and A = alpha*m = ah + al (alpha's two
+//    halves times m, with the product's exact FMA error);
+//  * q0 = ah * (1/dh), then one correction q1 = (A - D q0) * (1/dh), and
+//    u = q0 + q1 rounded to float, with rem = q0 + q1 - u exactly.
+// q0 + q1 is within 2^-41 of the true quotient, relatively (DESIGN.md
+// section 7), and the reference's double quotient within 2^-50, so both
+// round to u whenever q0 + q1 lies more than 2^-39 |u| from a float
+// midpoint: |rem| <= half_ulp(u) (1 - 2^-14), with u normal and not a
+// power of two, whose lower neighbour is half as far.  The reciprocals are
+// the hardware estimate plus one Newton step; the proof holds for any bits
+// the estimate gives within its documented error.
+
+typedef std::int32_t vi8 __attribute__((vector_size(32)));
+inline vf8 fma_v(vf8 a, vf8 b, vf8 c) { return _mm256_fmadd_ps(a, b, c); }
+inline vf8 fnma_v(vf8 a, vf8 b, vf8 c) { return _mm256_fnmadd_ps(a, b, c); }
+inline vf8 sqrt_v(vf8 a) { return _mm256_sqrt_ps(a); }
+inline vf8 rcp_estimate(vf8 a) { return _mm256_rcp_ps(a); }  // within 1.5 * 2^-12
+inline unsigned lane_mask(vi8 t) {
+  return static_cast<unsigned>(_mm256_movemask_ps(std::bit_cast<vf8>(t)));
+}
+#ifdef __AVX512F__
+typedef std::int32_t vi16 __attribute__((vector_size(64)));
+inline vf16 fma_v(vf16 a, vf16 b, vf16 c) { return _mm512_fmadd_ps(a, b, c); }
+inline vf16 fnma_v(vf16 a, vf16 b, vf16 c) { return _mm512_fnmadd_ps(a, b, c); }
+// The masked forms with every lane set: the plain ones pass GCC 12 an
+// undefined source it warns about.
+inline vf16 sqrt_v(vf16 a) { return _mm512_mask_sqrt_ps(a, 0xffff, a); }
+inline vf16 rcp_estimate(vf16 a) { return _mm512_mask_rcp14_ps(a, 0xffff, a); }  // within 2^-14
+inline unsigned lane_mask(vi16 t) {
+  const auto i = std::bit_cast<__m512i>(t);
+  return _mm512_test_epi32_mask(i, i);
+}
+#endif
+
+/// 1/a within 2^-22: the estimate and one Newton step.
+template <typename V>
+inline V reciprocal(V a) {
+  const V r = rcp_estimate(a);
+  return fma_v(r, fnma_v(a, r, V{} + 1.0f), r);
+}
+
+/// The whole-call bounds the lane proof assumes: alpha's low half and
+/// eps's stay normal, and eps >= 2^-36 makes the sqrt correction the lanes
+/// with v < 2^-120 drop (at most 2^-84) negligible against D.
+inline bool float_float_bounds(const AdamStep& step) {
+  return step.alpha >= 0x1p-64 && step.alpha <= 0x1p64 && step.epsilon >= 0x1p-36 &&
+         step.epsilon <= 0x1p64;
+}
+
+/// One call's scalars, copied out of the AdamStep so that the stores to w,
+/// m and v cannot alias them: alpha = ah + al and eps = eh + el, each to
+/// 2^-48, beside the double values the fallback lanes divide with.
+struct AdamScalars {
+  float b1, b2, wd, ah, al, eh, el;
+  double alpha, eps;
+  explicit AdamScalars(const AdamStep& step)
+      : b1(step.beta1),
+        b2(step.beta2),
+        wd(step.weight_decay),
+        ah(static_cast<float>(step.alpha)),
+        al(static_cast<float>(step.alpha - ah)),
+        eh(static_cast<float>(step.epsilon)),
+        el(static_cast<float>(step.epsilon - eh)),
+        alpha(step.alpha),
+        eps(step.epsilon) {}
+};
+
+/// One block of lanes of the update at w, g, m, v.
+template <typename V, bool kDecay>
+inline void adam_block(float* w, const float* g, float* m, float* v, const AdamScalars& s) {
+  using VI = decltype(V{} < V{});
+  const auto bits = [](V x) { return std::bit_cast<VI>(x); };
+  const auto splat = [](float x) { return x - V{}; };
+  V grad = load_v<V>(g);
+  const V wv = load_v<V>(w);
+  if constexpr (kDecay) grad += s.wd * wv;
+  const V mv = s.b1 * load_v<V>(m) + (1.0f - s.b1) * grad;
+  const V vv = s.b2 * load_v<V>(v) + (1.0f - s.b2) * grad * grad;
+  store_v<V>(m, mv);
+  store_v<V>(v, vv);
+
+  // Lanes with v < 2^-120 (v = 0 among them) leave the correction out.
+  const V sf = sqrt_v(vv);
+  const V c = vv >= 0x1p-120f ? fnma_v(sf, sf, vv) * (0.5f * reciprocal(sf)) : V{};
+  const V eh = splat(s.eh);
+  const V big = sf > eh ? sf : eh;
+  const V small = sf > eh ? eh : sf;
+  const V dh = big + small;
+  const V dl = ((small - (dh - big)) + c) + s.el;
+  const V ah = s.ah * mv;
+  const V al = fma_v(splat(s.al), mv, fma_v(splat(s.ah), mv, -ah));
+  const V rd = reciprocal(dh);
+  const V q0 = ah * rd;
+  const V q1 = (fnma_v(dh, q0, ah) + fnma_v(dl, q0, al)) * rd;
+  V u = q0 + q1;
+  const V rem = q1 - (u - q0);
+
+  const VI au = bits(u) & 0x7fffffff;
+  // half_ulp(u) (1 - 2^-14) = 2^(e-25) (2 - 2^-13): u's exponent field less
+  // 25, over a significand of thirteen 1 bits.  Both sides are the bits of
+  // non-negative floats, which order as the floats do; a NaN rem exceeds it.
+  const VI rem_bound = (au & 0x7f800000) + (0x007ffc00 - (25 << 23));
+  // 2^-100 <= |u| < 2^127, u not a power of two, |ah| >= 2^-90, no midpoint
+  // within 2^-39 |u|.
+  VI ok = (au >= 0x0d800000) & (au < 0x7f000000) & ((au & 0x007fffff) != 0) &
+          ((bits(ah) & 0x7fffffff) >= 0x12800000) & ((bits(rem) & 0x7fffffff) <= rem_bound);
+  // m = +-0: the quotient is m itself, but q0 + q1 is +0 for either sign.
+  const VI zero = (mv == 0.0f) & (vv >= 0.0f);
+  u = zero ? mv : u;
+  ok |= zero;
+  for (unsigned bad = lane_mask(~ok); bad != 0; bad &= bad - 1) {
+    const int l = std::countr_zero(bad);
+    u[l] = adam_quotient(s.alpha, m[l], v[l], s.eps);
+  }
+  store_v<V>(w, wv - u);
+}
+
+template <bool kDecay>
+void adam_float_float(float* w, const float* g, float* m, float* v, int64_t n,
+                      const AdamStep& step) {
+  const AdamScalars s(step);
+  int64_t i = 0;
+#ifdef __AVX512F__
+  for (; i + 16 <= n; i += 16) adam_block<vf16, kDecay>(w + i, g + i, m + i, v + i, s);
+#endif
+  for (; i + 8 <= n; i += 8) adam_block<vf8, kDecay>(w + i, g + i, m + i, v + i, s);
+  adam_lanes<kDecay>(w + i, g + i, m + i, v + i, n - i, step);
+}
+#endif
 
 }  // namespace
 
 void adam_update(float* w, const float* g, float* m, float* v, int64_t n,
                  const AdamStep& step) {
+#ifdef SWT_ADAM_FLOAT_FLOAT
+  if (float_float_bounds(step)) {
+    if (step.weight_decay > 0.0f)
+      adam_float_float<true>(w, g, m, v, n, step);
+    else
+      adam_float_float<false>(w, g, m, v, n, step);
+    return;
+  }
+#endif
   if (step.weight_decay > 0.0f)
     adam_lanes<true>(w, g, m, v, n, step);
   else

@@ -150,9 +150,14 @@ struct AdamStep {
 /// One Adam update of n elements: with grad = g (+ weight_decay * w),
 /// m = b1*m + (1-b1)*grad and v = b2*v + (1-b2)*grad*grad in float, then
 /// w -= float(alpha*m / (sqrt(double(v)) + epsilon)) with the quotient in
-/// double.  Every element runs that sequence in that order at any vector
-/// width, so the result is bit-identical to naive::adam_update.  The four
-/// arrays must not overlap.
+/// double, bit-identical to naive::adam_update.  The m and v updates run
+/// that float sequence in every lane.  Builds with FMA form the quotient
+/// as a float pair in 16 (AVX-512F) or 8 lanes and keep a lane's float
+/// only where a per-lane guard proves it is the double quotient's
+/// rounding; other lanes, the last n % 8 elements, calls whose alpha or
+/// epsilon lie outside the proof's bounds (alpha = 0 among them) and every
+/// element of a build without FMA run the double expression (DESIGN.md
+/// section 7).  The four arrays must not overlap.
 void adam_update(float* w, const float* g, float* m, float* v, std::int64_t n,
                  const AdamStep& step);
 

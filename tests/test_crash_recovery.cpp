@@ -107,7 +107,8 @@ TEST_F(CrashRecoveryFixture, CrashAfterEvalsResumesByteIdentical) {
   for (const bool bank : {false, true}) {
     NasRunConfig base = cfg();
     base.bank = bank;
-    const std::string reference = csv(run_nas(app_, base).trace);
+    const NasRun uninterrupted = run_nas(app_, base);
+    const std::string reference = csv(uninterrupted.trace);
 
     // First, second, middle and last attempt.
     for (long crash_at : {0L, 1L, base.n_evals / 2, base.n_evals - 1}) {
@@ -128,6 +129,15 @@ TEST_F(CrashRecoveryFixture, CrashAfterEvalsResumesByteIdentical) {
       EXPECT_EQ(resumed.journal_appended,
                 resumed.trace.records.size() - static_cast<std::size_t>(crash_at))
           << where;
+      // Resume drops the checkpoints of attempts the killed run never
+      // journaled and trains them again; the bank's traffic meters, which
+      // exp/registry records, must not count both puts.
+      if (bank) {
+        const BankStats want = uninterrupted.store->bank()->stats();
+        const BankStats got = resumed.store->bank()->stats();
+        EXPECT_EQ(got.unique_bytes_written, want.unique_bytes_written) << where;
+        EXPECT_EQ(got.logical_bytes_written, want.logical_bytes_written) << where;
+      }
     }
   }
 }

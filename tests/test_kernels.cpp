@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -343,11 +344,52 @@ TEST(Kernels, ZeroTimesNanPropagates) {
 }
 
 // -----------------------------------------------------------------------
-// Adam update: the vector loop against the scalar reference, through the
-// values that take the update off its usual path.
+// Adam update: the lane kernel against the scalar reference, through the
+// values that take the update off its usual path.  Every case also runs in
+// calls of 16, 8 and 1 elements: the 16- and 8-lane float-float blocks of
+// a build with FMA (a 16-element call is two 8-lane blocks without
+// AVX-512) and the double loop that takes a call's last n % 8 elements.
 // -----------------------------------------------------------------------
 
-TEST(Kernels, AdamUpdateMatchesNaive) {
+struct AdamArrays {
+  std::vector<float> w, m, v;
+};
+
+/// adam_update over all of `x` in calls of `width` elements (the last call
+/// takes what is left).
+void adam_by_width(AdamArrays& x, const std::vector<float>& g, std::int64_t width,
+                   const k::AdamStep& step) {
+  const auto n = static_cast<std::int64_t>(x.w.size());
+  for (std::int64_t at = 0; at < n; at += width)
+    k::adam_update(x.w.data() + at, g.data() + at, x.m.data() + at, x.v.data() + at,
+                   std::min(width, n - at), step);
+}
+
+/// Any NaN matches any NaN.  When two NaNs meet in one add or multiply, x86
+/// returns the first operand's, and the compiler orders commutative
+/// operands as it likes: an -O2 build returned the default -NaN where the
+/// reference kept the gradient's +NaN.
+void expect_adam_equal(AdamArrays got, AdamArrays want) {
+  for (AdamArrays* x : {&got, &want})
+    for (std::vector<float>* a : {&x->w, &x->m, &x->v})
+      for (float& e : *a)
+        if (std::isnan(e)) e = std::numeric_limits<float>::quiet_NaN();
+  expect_equal(got.w, want.w, "adam w");
+  expect_equal(got.m, want.m, "adam m");
+  expect_equal(got.v, want.v, "adam v");
+}
+
+/// 200 steps of n elements from m = v = 0, with gradients uniform in
+/// (-scale, scale) and every fourth element a rotating special value.  The
+/// kernel runs in calls of `width` elements (n: one call per step).  Step
+/// 150 has alpha = 0, as the cosine schedule's last epoch does.  The states
+/// are compared after every step, and every fourth element (from the third)
+/// enters each step at w = 0, which leaves w = -(the step's float quotient)
+/// exactly: at small gradient scales the quotient is far below the ulp of
+/// an ordinary w, so a wrong one would not show in w - quotient.
+void expect_adam_matches_naive(std::int64_t n, std::int64_t width, float wd, double scale) {
+  SCOPED_TRACE(::testing::Message() << "n=" << n << " width=" << width << " wd=" << wd
+                                    << " scale=" << scale);
   const float specials[] = {0.0f,
                             -0.0f,
                             std::numeric_limits<float>::denorm_min(),
@@ -358,35 +400,128 @@ TEST(Kernels, AdamUpdateMatchesNaive) {
                             -std::numeric_limits<float>::infinity(),
                             std::numeric_limits<float>::quiet_NaN()};
   constexpr std::size_t kSpecials = sizeof specials / sizeof specials[0];
-  for (const std::int64_t n : {0, 1, 3, 4, 7, 8, 15, 16, 17, 4099}) {
-    for (const float wd : {0.0f, 5e-4f}) {
-      SCOPED_TRACE("n=" + std::to_string(n) + " wd=" + std::to_string(wd));
-      const auto size = static_cast<std::size_t>(n);
-      std::vector<float> w = random_vec(n, 31);
-      std::vector<float> m(size, 0.0f), v(size, 0.0f);
-      std::vector<float> w_ref = w, m_ref = m, v_ref = v;
-      k::AdamStep step{.epsilon = 1e-7, .beta1 = 0.9f, .beta2 = 0.999f, .weight_decay = wd};
-      for (int t = 1; t <= 200; ++t) {
-        std::vector<float> g = random_vec(n, 1000 + static_cast<std::uint64_t>(t));
-        // Every fourth element takes a rotating special value; the rest stay
-        // finite, so most lanes keep exercising ordinary arithmetic.
-        for (std::size_t i = 0; i < size; i += 4)
-          g[i] = specials[(i / 4 + static_cast<std::size_t>(t)) % kSpecials];
-        step.alpha = 1e-3 * std::sqrt(1.0 - std::pow(0.999, t)) / (1.0 - std::pow(0.9, t));
-        k::adam_update(w.data(), g.data(), m.data(), v.data(), n, step);
-        k::naive::adam_update(w_ref.data(), g.data(), m_ref.data(), v_ref.data(), n, step);
-      }
-      // Any NaN matches any NaN.  When two NaNs meet in one add or
-      // multiply, x86 returns the first operand's, and the compiler orders
-      // commutative operands as it likes: an -O2 build returned the
-      // default -NaN where the reference kept the gradient's +NaN.
-      for (std::vector<float>* x : {&w, &w_ref, &m, &m_ref, &v, &v_ref})
-        for (float& e : *x)
-          if (std::isnan(e)) e = std::numeric_limits<float>::quiet_NaN();
-      expect_equal(w, w_ref, "adam w");
-      expect_equal(m, m_ref, "adam m");
-      expect_equal(v, v_ref, "adam v");
+  const auto size = static_cast<std::size_t>(n);
+  AdamArrays got{random_vec(n, 31), std::vector<float>(size, 0.0f),
+                 std::vector<float>(size, 0.0f)};
+  AdamArrays want = got;
+  k::AdamStep step{.epsilon = 1e-7, .beta1 = 0.9f, .beta2 = 0.999f, .weight_decay = wd};
+  for (int t = 1; t <= 200; ++t) {
+    std::vector<float> g = random_vec(n, 1000 + static_cast<std::uint64_t>(t));
+    for (float& e : g) e = static_cast<float>(e * scale);
+    // Every fourth element takes a rotating special value; the rest stay
+    // finite, so most lanes keep exercising ordinary arithmetic.
+    for (std::size_t i = 0; i < size; i += 4)
+      g[i] = specials[(i / 4 + static_cast<std::size_t>(t)) % kSpecials];
+    step.alpha = t == 150 ? 0.0
+                          : 1e-3 * std::sqrt(1.0 - std::pow(0.999, t)) / (1.0 - std::pow(0.9, t));
+    for (std::size_t i = 2; i < size; i += 4) got.w[i] = want.w[i] = 0.0f;
+    adam_by_width(got, g, width, step);
+    k::naive::adam_update(want.w.data(), g.data(), want.m.data(), want.v.data(), n, step);
+    SCOPED_TRACE("step " + std::to_string(t));
+    expect_adam_equal(got, want);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(Kernels, AdamUpdateMatchesNaive) {
+  // Whole-array calls at every block and tail size.
+  for (const std::int64_t n : {0, 1, 3, 4, 7, 8, 15, 16, 17, 24, 31, 4099})
+    for (const float wd : {0.0f, 5e-4f}) expect_adam_matches_naive(n, n, wd, 1.0);
+  // Gradient scales from near the denormals to near the square root of
+  // FLT_MAX: below ~1e-21 v underflows to 0, and below ~1e-26 |alpha*m| is
+  // under the 2^-90 the float-float lanes need.  At 1e-32 and 1e-30 the
+  // quotient is still at least 2^-100, so only that guard sends those lanes
+  // to double; at 1e-35 the quotient is below 2^-100 too.
+  for (const double scale : {1e-38, 1e-35, 1e-32, 1e-30, 1e-25, 1e-20, 1e-15, 1e-10, 1e-5, 1e-2,
+                             1e3, 1e10, 1e15, 1e19})
+    for (const std::int64_t width : {std::int64_t{1003}, std::int64_t{16}, std::int64_t{8},
+                                     std::int64_t{1}})
+      for (const float wd : {0.0f, 5e-4f}) expect_adam_matches_naive(1003, width, wd, scale);
+}
+
+/// Quotients alpha*m / (sqrt(v) + eps) whose double value lies within three
+/// double ulps of the midpoint between two floats, found by a scan of
+/// consecutive m: the float-float sum q0 + q1 is good to about 2^-43, so it
+/// lands on the wrong side of such a midpoint about as often as on the
+/// right one, and only the midpoint guard keeps these lanes bit-identical.
+/// (alpha and eps as double bits, m and v as float bits.)
+struct AdamTie {
+  std::uint64_t alpha, eps;
+  std::uint32_t m, v;
+};
+constexpr AdamTie kAdamTies[] = {
+      {0x3f34b96be9c2da30ull, 0x3e7ad7f29abcaf48ull, 0xbdf7f27au, 0x3946c55bu},  // 2 double ulps
+      {0x3f34b96be9c2da30ull, 0x3e7ad7f29abcaf48ull, 0x368def88u, 0x2d91a574u},  // 3 double ulps
+      {0x3f2981076a16776dull, 0x3e7ad7f29abcaf48ull, 0xba754255u, 0x33b222bcu},  // 3 double ulps
+      {0x3f2981076a16776dull, 0x3e7ad7f29abcaf48ull, 0x3f34956cu, 0x3c972ed0u},  // 3 double ulps
+      {0x3f2981076a16776dull, 0x3e7ad7f29abcaf48ull, 0x399364c1u, 0x328765b5u},  // 3 double ulps
+      {0x3f2981076a16776dull, 0x3e7ad7f29abcaf48ull, 0xbe1ae27bu, 0x3ca26bc5u},  // 3 double ulps
+      {0x3f2981076a16776dull, 0x3e7ad7f29abcaf48ull, 0xb3dd2794u, 0x29ceb195u},  // 1 double ulps
+      {0x3f32d187e6929322ull, 0x3e7ad7f29abcaf48ull, 0x383778beu, 0x30205f87u},  // 0 double ulps
+      {0x3f32d187e6929322ull, 0x3e7ad7f29abcaf48ull, 0xbc4fdc03u, 0x35ae9041u},  // 1 double ulps
+      {0x3f32d187e6929322ull, 0x3e7ad7f29abcaf48ull, 0xb6f5fa77u, 0x2cbd562du},  // 2 double ulps
+      {0x3f32d187e6929322ull, 0x3e7ad7f29abcaf48ull, 0xb935b3f4u, 0x35e042aau},  // 3 double ulps
+      {0x3f32d187e6929322ull, 0x3e7ad7f29abcaf48ull, 0x34cf307au, 0x284d04dfu},  // 1 double ulps
+      {0x3f32d187e6929322ull, 0x3e7ad7f29abcaf48ull, 0x3cc84890u, 0x3a8f08f1u},  // 0 double ulps
+      {0x3f32d187e6929322ull, 0x3e7ad7f29abcaf48ull, 0x344e2525u, 0x2bf9974cu},  // 0 double ulps
+      {0x3f847ae147ae147bull, 0x3e45798ee2308c3aull, 0x323a2000u, 0x00000000u},  // 0 double ulps
+      {0x3f847ae147ae147bull, 0x3e45798ee2308c3aull, 0xb359e000u, 0x00000000u},  // 0 double ulps
+      {0x3f847ae147ae147bull, 0x3e45798ee2308c3aull, 0xb41d2000u, 0x00000000u},  // 0 double ulps
+      {0x3f847ae147ae147bull, 0x3e45798ee2308c3aull, 0x33866000u, 0x00000000u},  // 0 double ulps
+      {0x3f847ae147ae147bull, 0x3e45798ee2308c3aull, 0xb2cd6000u, 0x00000000u},  // 0 double ulps
+      {0x3f847ae147ae147bull, 0x3e45798ee2308c3aull, 0x334a2000u, 0x00000000u},  // 1 double ulps
+      {0x3f847ae147ae147bull, 0x3e45798ee2308c3aull, 0xb365e000u, 0x00000000u},  // 0 double ulps
+      {0x3f847ae147ae147bull, 0x3e45798ee2308c3aull, 0x3580b000u, 0x00000000u},  // 0 double ulps
+};
+
+TEST(Kernels, AdamUpdateMatchesNaiveAtFloatMidpoints) {
+  // beta1 = beta2 = 1 and g = 0 leave m and v as set, so each lane's
+  // quotient is the table's.
+  for (const AdamTie& tie : kAdamTies) {
+    SCOPED_TRACE("m bits " + std::to_string(tie.m) + " v bits " + std::to_string(tie.v));
+    const k::AdamStep step{.alpha = std::bit_cast<double>(tie.alpha),
+                           .epsilon = std::bit_cast<double>(tie.eps),
+                           .beta1 = 1.0f,
+                           .beta2 = 1.0f};
+    for (const std::int64_t width : {16, 8, 1}) {
+      const auto size = static_cast<std::size_t>(width);
+      AdamArrays got{std::vector<float>(size, 0.0f),
+                     std::vector<float>(size, std::bit_cast<float>(tie.m)),
+                     std::vector<float>(size, std::bit_cast<float>(tie.v))};
+      AdamArrays want = got;
+      const std::vector<float> g(size, 0.0f);
+      adam_by_width(got, g, width, step);
+      k::naive::adam_update(want.w.data(), g.data(), want.m.data(), want.v.data(), width, step);
+      expect_adam_equal(got, want);
     }
+  }
+}
+
+TEST(Kernels, AdamUpdateKeepsSignedZeros) {
+  // Every sign of w, m and g at zero, beside v = 0, v > 0, v = NaN and
+  // v < 0: m = +-0 steps by +-0, and w - (-0) differs from w - (+0) when w
+  // is -0; a NaN square root keeps its NaN.
+  const float zeros[] = {0.0f, -0.0f};
+  const float vs[] = {0.0f, 1e-3f, std::numeric_limits<float>::quiet_NaN(), -1.0f};
+  AdamArrays start;
+  std::vector<float> g;
+  for (const float w : zeros)
+    for (const float m : zeros)
+      for (const float grad : zeros)
+        for (const float v : vs) {
+          start.w.push_back(w);
+          start.m.push_back(m);
+          start.v.push_back(v);
+          g.push_back(grad);
+        }
+  const auto n = static_cast<std::int64_t>(g.size());
+  const k::AdamStep step{.alpha = 1e-3, .epsilon = 1e-7, .beta1 = 0.9f, .beta2 = 0.999f};
+  for (const std::int64_t width : {n, std::int64_t{16}, std::int64_t{8}, std::int64_t{1}}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    AdamArrays got = start, want = start;
+    adam_by_width(got, g, width, step);
+    k::naive::adam_update(want.w.data(), g.data(), want.m.data(), want.v.data(), n, step);
+    expect_adam_equal(got, want);
   }
 }
 
